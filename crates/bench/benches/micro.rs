@@ -8,7 +8,9 @@ use castor_bench::coverage_candidate_sequence;
 use castor_core::{BottomClausePlan, CastorConfig};
 use castor_datasets::uwcse::{generate, UwCseConfig};
 use castor_engine::{Engine, EngineConfig, Prior};
-use castor_learners::bottom_clause::{ground_bottom_clause, BottomClauseConfig};
+use castor_learners::bottom_clause::{
+    ground_bottom_clause, variablized_bottom_clause, BottomClauseConfig,
+};
 use castor_logic::{covers_example, lgg_clauses, subsumes, Clause};
 use castor_relational::{natural_join, Tuple};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,6 +29,14 @@ fn bench_subsumption(c: &mut Criterion) {
     let candidate = variant.ground_truth.clone().unwrap().clauses[0].clone();
     c.bench_function("theta_subsumption_ground_bottom_clause", |b| {
         b.iter(|| black_box(subsumes(black_box(&candidate), black_box(&ground))))
+    });
+    // The minimization shape: a full bottom clause against itself minus
+    // one literal, so every body literal is searched for.
+    let full = variablized_bottom_clause(&variant.db, "advisedBy", &example, &config);
+    let mut less = full.clone();
+    less.body.remove(less.body.len() / 2);
+    c.bench_function("theta_subsumption_long_self", |b| {
+        b.iter(|| black_box(subsumes(black_box(&full), black_box(&less))))
     });
 }
 

@@ -44,9 +44,6 @@ pub use lgg::{lgg_atoms, lgg_clauses};
 pub use minimize::minimize_clause;
 pub use safety::is_safe;
 pub use substitution::Substitution;
-pub use subsumption::{
-    subsumes, subsumes_budgeted, subsumes_budgeted_with, subsumes_with, subsumes_with_eval_budget,
-    SubsumptionOutcome,
-};
+pub use subsumption::{subsumes, subsumes_with, subsumes_with_eval_budget, SubsumptionOutcome};
 pub use term::Term;
 pub use varmap::VariableMap;
