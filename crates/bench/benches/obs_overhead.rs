@@ -5,7 +5,8 @@
 //! records, and one span push per batch — the bench measures whether
 //! that stays invisible next to the joins the batch performs. The CI
 //! guard `tests/obs_overhead.rs` pins the same workload to a ≤5% bound;
-//! the `bench_obs` binary writes the machine-readable `BENCH_obs.json`.
+//! the `learnbench` runner reports the end-to-end tracing cost as
+//! `trace.overhead_s`.
 
 use castor_bench::obs_overhead_workload;
 use castor_engine::{Engine, EngineConfig, WorkerPool};

@@ -219,8 +219,8 @@ pub fn skewed_costing_workload() -> SkewedCostingWorkload {
     }
 }
 
-/// The coverage workload shared by the Criterion bench `obs_overhead`,
-/// the CI guard `tests/obs_overhead.rs`, and the `bench_obs` runner: a
+/// The coverage workload shared by the Criterion bench `obs_overhead`
+/// and the CI guard `tests/obs_overhead.rs`: a
 /// beam of sibling candidates over an enlarged UW-CSE instance, sized so
 /// one uncached batched pass costs tens of milliseconds — large enough
 /// that the per-batch instrumentation (a few clock reads, one histogram
@@ -263,8 +263,8 @@ pub fn uwcse_family() -> SchemaFamily {
     uwcse::generate(&uwcse::UwCseConfig::default())
 }
 
-/// The coverage job shared by the Criterion bench `rpc_idle_sessions`,
-/// the CI guard `tests/rpc_overhead.rs`, and the `bench_rpc` runner: an
+/// The coverage job shared by the Criterion bench `rpc_idle_sessions`
+/// and the CI guard `tests/rpc_overhead.rs`: an
 /// 8-candidate beam scored over a fixed example slice of the enlarged
 /// UW-CSE task. The pinned transport bound uses the *score* shape
 /// (coverage evaluation over both example lists, per-clause counts

@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Emitted by every covering loop in the workspace (the generic
 /// `covering_loop` in `castor-learners` and Castor's own loop in
 /// `castor-core`) through the sink installed with
-/// [`Engine::set_progress_sink`] — the serving layer streams these to v2
+/// [`Engine::set_progress_sink`] — the serving layer streams these to
 /// wire clients as incremental `LearnJob` progress frames.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnProgress {

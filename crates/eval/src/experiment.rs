@@ -259,69 +259,6 @@ pub fn run_algorithm_on_variant_rpc(
     )
 }
 
-/// [`run_algorithm_on_variant`] against a sharded cluster: the run owns
-/// `members` loopback [`castor_rpc::RpcServer`]s, each serving the
-/// variant's database *empty* (schema-registered only), and a
-/// [`castor_cluster::Router`] that places the database on one member by
-/// consistent hashing and replays the variant's content to it. Each
-/// fold's learning and evaluation route through the owning member — the
-/// same jobs as the in-process and single-server paths, so results are
-/// identical; only placement and transport differ.
-pub fn run_algorithm_on_variant_cluster(
-    algorithm: &AlgorithmKind,
-    variant: &DatasetVariant,
-    base_params: &LearnerParams,
-    folds: usize,
-    members: usize,
-) -> ExperimentRow {
-    use crate::metrics::evaluate_definition_with_cluster;
-    use castor_cluster::{ClusterConfig, Router};
-    use castor_relational::DatabaseInstance;
-    use castor_rpc::{RpcConfig, RpcServer};
-
-    let params = params_for(variant, base_params);
-    // The RpcServers must outlive the router's pooled connections.
-    let mut servers = Vec::with_capacity(members);
-    let mut addrs = Vec::with_capacity(members);
-    for i in 0..members {
-        let service = std::sync::Arc::new(Server::new(
-            ServerConfig::default()
-                .with_threads(params.threads)
-                .with_engine(params.engine_config()),
-        ));
-        service
-            .register(
-                &variant.name,
-                std::sync::Arc::new(DatabaseInstance::empty(variant.db.schema())),
-            )
-            .expect("variant registered once per member");
-        let rpc = RpcServer::bind(service, "127.0.0.1:0", RpcConfig::default())
-            .expect("loopback bind for the experiment run");
-        addrs.push((format!("member-{i}"), rpc.local_addr()));
-        servers.push(rpc);
-    }
-    let router = Router::new(addrs, ClusterConfig::default());
-    router
-        .register(&variant.name, &variant.db)
-        .expect("initial content replays to the owning member");
-    let session = router
-        .session(&variant.name)
-        .expect("variant was just registered");
-    run_folds(
-        algorithm,
-        variant,
-        folds,
-        |task| {
-            session
-                .learn(task, learn_algorithm_for(algorithm, &params, base_params))
-                .expect("experiment routes are never cancelled")
-        },
-        |definition, test_positive, test_negative| {
-            evaluate_definition_with_cluster(&session, definition, test_positive, test_negative)
-        },
-    )
-}
-
 /// Runs one algorithm across every schema variant of a family.
 pub fn run_algorithm_over_family(
     algorithm: &AlgorithmKind,
@@ -403,24 +340,6 @@ mod tests {
         assert_eq!(over_tcp.evaluation, in_process.evaluation);
         assert_eq!(over_tcp.sample_definition, in_process.sample_definition);
         assert_eq!(over_tcp.schema, in_process.schema);
-    }
-
-    #[test]
-    fn cluster_transport_reproduces_the_in_process_rows() {
-        let family = tiny_family();
-        let variant = family.variant("Original").unwrap();
-        let algorithm = AlgorithmKind::AlephProgol(4);
-        let in_process = run_algorithm_on_variant(&algorithm, variant, &LearnerParams::uwcse(), 2);
-        let over_cluster =
-            run_algorithm_on_variant_cluster(&algorithm, variant, &LearnerParams::uwcse(), 2, 3);
-        // The owning member executes the same jobs over the replayed
-        // content (same relation and tuple order), so the learned
-        // definitions and fold metrics are identical to the in-process
-        // path — and hence also to the single-server RPC path, which the
-        // sibling test pins against the same baseline.
-        assert_eq!(over_cluster.evaluation, in_process.evaluation);
-        assert_eq!(over_cluster.sample_definition, in_process.sample_definition);
-        assert_eq!(over_cluster.schema, in_process.schema);
     }
 
     #[test]

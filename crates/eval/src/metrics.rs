@@ -141,28 +141,6 @@ pub fn evaluate_definition_with_client(
     )
 }
 
-/// Evaluates a learned definition through a cluster router — the sharded
-/// counterpart of [`evaluate_definition_with_client`]: the router sends
-/// the batched coverage job to whichever member currently owns the
-/// database. Same `CoverageJob` on the owning member, same results.
-pub fn evaluate_definition_with_cluster(
-    session: &castor_cluster::ClusterSession<'_>,
-    definition: &Definition,
-    test_positive: &[Tuple],
-    test_negative: &[Tuple],
-) -> EvaluationResult {
-    evaluate_definition_via(
-        definition,
-        test_positive,
-        test_negative,
-        |clauses, examples| {
-            session
-                .covered_sets(clauses, examples)
-                .expect("evaluation routes are never cancelled")
-        },
-    )
-}
-
 /// Evaluates a learned definition through a shared evaluation engine
 /// (compiled plans + memoized coverage), so repeated evaluations of
 /// overlapping definitions across folds reuse cached results.

@@ -10,8 +10,8 @@
 //! transports.
 
 use crate::frame::{
-    read_response, write_request_v, ErrorCode, FrameError, Request, Response, StreamBody,
-    DEFAULT_MAX_FRAME_BYTES, DEFAULT_STREAM_CREDIT, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_VERSION,
+    read_response, write_request, ErrorCode, FrameError, Request, Response, StreamBody,
+    DEFAULT_MAX_FRAME_BYTES, DEFAULT_STREAM_CREDIT,
 };
 use castor_engine::{ClauseCounts, EngineReport, LearnProgress};
 use castor_learners::LearningTask;
@@ -43,17 +43,11 @@ pub struct ClientConfig {
     pub max_frame_bytes: usize,
     /// Per-session node-budget override sent in `Hello`.
     pub eval_budget: Option<usize>,
-    /// Protocol version to speak. `None` (the default) negotiates: the
-    /// client tries this build's newest version and reconnects at v1 when
-    /// the server rejects it with
-    /// [`ErrorCode::UnsupportedVersion`]. `Some(v)` pins the version —
-    /// no fallback.
-    pub protocol_version: Option<u8>,
-    /// Initial stream-frame credit granted in `Hello` on a v2 connection
-    /// (see [`Request::StreamCredit`]). The client replenishes
-    /// automatically as it consumes stream frames; `0` grants nothing —
-    /// the server will not stream to this connection until an explicit
-    /// grant (starvation-test territory, not a production setting).
+    /// Initial stream-frame credit granted in `Hello` (see
+    /// [`Request::StreamCredit`]). The client replenishes automatically
+    /// as it consumes stream frames; `0` grants nothing — the server will
+    /// not stream to this connection until an explicit grant
+    /// (starvation-test territory, not a production setting).
     pub stream_credit: u64,
 }
 
@@ -65,7 +59,6 @@ impl Default for ClientConfig {
             write_timeout: None,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             eval_budget: None,
-            protocol_version: None,
             stream_credit: DEFAULT_STREAM_CREDIT,
         }
     }
@@ -102,15 +95,7 @@ impl ClientConfig {
         self
     }
 
-    /// Pins the protocol version — no negotiation fallback (builder
-    /// style).
-    pub fn with_protocol_version(mut self, version: u8) -> Self {
-        self.protocol_version = Some(version);
-        self
-    }
-
-    /// Sets the initial stream-frame credit for v2 connections (builder
-    /// style).
+    /// Sets the initial stream-frame credit (builder style).
     pub fn with_stream_credit(mut self, credit: u64) -> Self {
         self.stream_credit = credit;
         self
@@ -291,16 +276,11 @@ pub struct RpcClient {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
     next_id: u64,
-    /// The request id to stamp on the next submit instead of the counter
-    /// (see [`RpcClient::use_trace_id`]).
-    forced_id: Option<u64>,
     /// Responses that arrived while waiting for a different request id.
     pending: HashMap<u64, Response>,
-    /// Partially reassembled v2 response streams, by request id.
+    /// Partially reassembled response streams, by request id.
     streams: HashMap<u64, StreamState>,
     max_frame_bytes: usize,
-    /// The negotiated connection protocol version.
-    version: u8,
     /// The initial credit granted in `Hello`; replenishment targets it.
     stream_credit: u64,
     /// Stream frames consumed since the last replenishment grant.
@@ -348,29 +328,6 @@ impl RpcClient {
         database: &str,
         config: &ClientConfig,
     ) -> Result<RpcClient, RpcError> {
-        match config.protocol_version {
-            // A pinned version is spoken as-is — no fallback.
-            Some(version) => RpcClient::connect_version(&addr, database, config, version),
-            // Negotiation: try this build's newest version; a server that
-            // rejects it (UnsupportedVersion closes the connection, so a
-            // fresh one is needed) gets a v1 retry.
-            None => match RpcClient::connect_version(&addr, database, config, PROTOCOL_VERSION) {
-                Err(RpcError::Remote {
-                    code: ErrorCode::UnsupportedVersion,
-                    ..
-                }) => RpcClient::connect_version(&addr, database, config, PROTOCOL_V1),
-                other => other,
-            },
-        }
-    }
-
-    /// Connects and performs the Hello exchange at one fixed version.
-    fn connect_version(
-        addr: &impl ToSocketAddrs,
-        database: &str,
-        config: &ClientConfig,
-        version: u8,
-    ) -> Result<RpcClient, RpcError> {
         let stream = connect_stream(addr, config.connect_timeout)?;
         let _ = stream.set_nodelay(true);
         stream
@@ -396,11 +353,9 @@ impl RpcClient {
             reader,
             writer: BufWriter::new(stream),
             next_id: 0,
-            forced_id: None,
             pending: HashMap::new(),
             streams: HashMap::new(),
             max_frame_bytes,
-            version,
             stream_credit: config.stream_credit,
             consumed_since_grant: 0,
             obs,
@@ -411,29 +366,12 @@ impl RpcClient {
         let handle = client.submit(Request::Hello {
             database: database.to_string(),
             eval_budget,
-            // The credit field only exists on v2 connections; a v1 Hello
-            // stays byte-identical to the pre-v2 wire format.
-            stream_credit: (version >= PROTOCOL_V2).then_some(config.stream_credit),
+            stream_credit: Some(config.stream_credit),
         })?;
         match client.join(handle)? {
             Response::HelloOk => Ok(client),
             other => Err(RpcError::UnexpectedResponse(format!("{other:?}"))),
         }
-    }
-
-    /// The negotiated protocol version of this connection.
-    pub fn protocol_version(&self) -> u8 {
-        self.version
-    }
-
-    /// Stamps the *next* submitted request with `trace` instead of the
-    /// sequential counter. Routers forward an upstream caller's minted
-    /// trace id this way, so one logical request's spans stitch across
-    /// client, router, and server processes. Minted trace ids carry the
-    /// high bit ([`castor_obs`] local-trace convention) while sequential
-    /// request ids count up from zero, so the two can never collide.
-    pub fn use_trace_id(&mut self, trace: u64) {
-        self.forced_id = Some(trace);
     }
 
     /// Sends one request, returning its handle without waiting for the
@@ -443,17 +381,11 @@ impl RpcClient {
     /// the request id — the same id the server uses as the job's trace id,
     /// so the client- and server-side spans of one request line up.
     pub fn submit(&mut self, request: Request) -> Result<RpcHandle, RpcError> {
-        let id = match self.forced_id.take() {
-            Some(forced) => forced,
-            None => {
-                let id = self.next_id;
-                self.next_id += 1;
-                id
-            }
-        };
+        let id = self.next_id;
+        self.next_id += 1;
         let start_ns = self.obs.now_ns();
         let timer = self.obs.timer();
-        write_request_v(&mut self.writer, self.version, id, &request)?;
+        write_request(&mut self.writer, id, &request)?;
         if timer.is_live() {
             let dur_ns = timer.stop_ns(&self.encode_ns);
             self.obs
@@ -540,12 +472,7 @@ impl RpcClient {
             return Ok(());
         }
         let grant = std::mem::take(&mut self.consumed_since_grant);
-        write_request_v(
-            &mut self.writer,
-            self.version,
-            0,
-            &Request::StreamCredit { grant },
-        )?;
+        write_request(&mut self.writer, 0, &Request::StreamCredit { grant })?;
         Ok(())
     }
 
@@ -630,8 +557,7 @@ impl RpcClient {
 
     /// [`RpcClient::learn`] returning the covering-round progress the
     /// server streamed ahead of the result — one [`LearnProgress`] per
-    /// accepted clause, in covering order. On a v1 connection the server
-    /// streams nothing and the progress vector is empty.
+    /// accepted clause, in covering order.
     pub fn learn_with_progress(
         &mut self,
         task: LearningTask,

@@ -451,6 +451,14 @@ impl Wire for Definition {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let target = r.get_str()?;
         let clauses = Vec::<Clause>::decode(r)?;
+        // `Definition::new` asserts this invariant; bytes off the wire
+        // must fail typed instead.
+        if let Some(c) = clauses.iter().find(|c| c.head.relation != target) {
+            return Err(CodecError::new(format!(
+                "clause head `{}` does not match target `{target}`",
+                c.head.relation
+            )));
+        }
         Ok(Definition::new(target, clauses))
     }
 }

@@ -1,5 +1,5 @@
-//! The readiness-driven RPC server core: one epoll event loop driving
-//! every connection, replacing the two-threads-per-connection model.
+//! The RPC server core: one readiness-driven epoll event loop driving
+//! every connection.
 //!
 //! One thread owns the listener, a wake [`EventFd`], and every accepted
 //! connection. Sockets run non-blocking; epoll (level-triggered) says
@@ -16,14 +16,12 @@
 //!                  close after flush] ->  cancel session, drop conn
 //! ```
 //!
-//! Jobs still dispatch onto the per-database runner queues exactly as
-//! before; what changes is how completions come back. Instead of a
-//! writer thread blocking in `join()`, every submitted handle gets a
+//! Jobs dispatch onto the per-database runner queues; nothing on the
+//! loop thread ever blocks on one. Every submitted handle gets a
 //! completion hook ([`castor_service::JobHandle::on_complete`]) that
 //! pushes the connection's token onto the wake queue and signals its
 //! eventfd — the loop wakes, polls the handle without blocking, and
-//! resumes encoding. The threaded writer's semantics are preserved
-//! exactly:
+//! resumes encoding. The wire contract:
 //!
 //! * responses leave in submission order (the write queue is drained
 //!   strictly head-first; an unfinished job at the head blocks encoding,
@@ -32,7 +30,7 @@
 //!   when they reach the head — after every earlier job of this
 //!   connection has completed — so a pipelined `Report` observes the
 //!   jobs submitted before it;
-//! * v2 stream frames consume connection-scoped flow-control credit; a
+//! * stream frames consume connection-scoped flow-control credit; a
 //!   spent budget parks the stream (credit grants arrive on the read
 //!   path and resume it) without blocking the loop;
 //! * a disconnect — EOF, `EPOLLRDHUP`, or a socket error — fires the
@@ -57,15 +55,16 @@
 
 use crate::fault::{FaultStats, FaultStream};
 use crate::frame::{
-    write_response_v, ErrorCode, FrameAccumulator, Request, Response, StreamBody,
-    COVERED_CHUNK_SETS, DEFAULT_STREAM_CREDIT, PROTOCOL_V2,
+    write_response, ErrorCode, FrameAccumulator, FrameError, Request, Response, StreamBody,
+    COVERED_CHUNK_SETS, DEFAULT_STREAM_CREDIT,
 };
-use crate::server::{frame_error_response, with_wire_deadline, RpcConfig};
+use crate::server::RpcConfig;
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use castor_engine::{LearnProgress, ProgressSink};
 use castor_obs::{Counter, Gauge, Histogram, Obs};
 use castor_service::{
-    CoverageJob, Job, JobHandle, JobResult, LearnJob, ScoreJob, Server, ServerError, Session,
+    CoverageJob, Deadline, Job, JobHandle, JobResult, LearnJob, ScoreJob, Server, ServerError,
+    Session,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -73,6 +72,7 @@ use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -110,18 +110,17 @@ impl Waker {
 enum ConnState {
     /// Waiting for the Hello frame; no session yet.
     Handshake,
-    /// Hello accepted: a live session, pinned to the Hello's version.
+    /// Hello accepted: a live session.
     Open { session: Arc<Session> },
 }
 
-/// One queued response, mirroring the threaded server's `Outbound` (plus
-/// explicit stream-resumption state, which the threaded writer kept on
-/// its stack while blocking).
+/// One queued response, in wire order. Streams carry their resumption
+/// state, so a stream parked on spent credit picks up where it stopped.
 enum Pending {
     Ready(u64, Response),
     Job(u64, JobHandle),
     Lazy(u64, Box<dyn FnOnce() -> Response + Send>),
-    /// A v2 covered result being streamed as flow-controlled chunks.
+    /// A covered result being streamed as flow-controlled chunks.
     CoveredStream {
         id: u64,
         trace: u64,
@@ -130,7 +129,7 @@ enum Pending {
         total: u64,
         start_ns: u64,
     },
-    /// A v2 learn: the sink pushes progress events here from the runner
+    /// A learn: the sink pushes progress events here from the runner
     /// thread (never blocking) and wakes the loop; the terminal result
     /// follows once the handle completes and the queue is drained.
     LearnStream {
@@ -144,15 +143,12 @@ enum Pending {
 struct Conn {
     stream: FaultStream,
     state: ConnState,
-    /// Negotiated protocol version; 1 until the Hello pins it (pre-Hello
-    /// failures are answered at v1, the one version every client reads).
-    version: u8,
     decoder: FrameAccumulator,
     outq: VecDeque<Pending>,
     /// Encoded-but-unsent bytes; `wpos` is the partial-write cursor.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Remaining v2 stream-frame budget (grants add, stream frames take).
+    /// Remaining stream-frame budget (grants add, stream frames take).
     credit: u64,
     /// Set after a framing/handshake error: flush what is queued, then
     /// close. Reading stops (the stream cannot be resynchronized).
@@ -198,8 +194,8 @@ struct EventLoop {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Accept-order index for arming fault schedules (independent of the
-    /// epoll token so plans target "the first connection" exactly as the
-    /// threaded core did).
+    /// epoll token, so plans target "the first connection" whatever
+    /// tokens the loop has handed out before).
     conn_index: u64,
     reply_ns: Arc<Histogram>,
     loop_connections: Arc<Gauge>,
@@ -368,8 +364,8 @@ impl EventLoop {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            // Same accept-order fault arming as the threaded core, so
-            // deterministic chaos plans reproduce across both.
+            // Connections are armed with their fault schedule by accept
+            // order, so deterministic chaos plans reproduce run to run.
             let fault_state = self
                 .config
                 .fault_plan
@@ -391,11 +387,7 @@ impl EventLoop {
                 Conn {
                     stream,
                     state: ConnState::Handshake,
-                    version: crate::frame::PROTOCOL_V1,
-                    decoder: FrameAccumulator::new(
-                        self.config.max_frame_bytes,
-                        self.config.max_protocol_version,
-                    ),
+                    decoder: FrameAccumulator::new(self.config.max_frame_bytes),
                     outq: VecDeque::new(),
                     wbuf: Vec::new(),
                     wpos: 0,
@@ -438,8 +430,7 @@ impl EventLoop {
         read_timer.stop_ns(&self.phase_read_ns);
         // Frames already buffered are dispatched even when the read
         // ended in EOF — the client may have pipelined requests and
-        // half-closed; the threaded reader behaved identically, parsing
-        // everything it had before seeing the close.
+        // half-closed.
         let dispatch_timer = self.obs.timer();
         while let Some(next) = {
             let conn = self.conns.get_mut(&token).expect("conn present");
@@ -450,8 +441,8 @@ impl EventLoop {
             }
         } {
             match next {
-                Ok((request_id, version, request)) => {
-                    self.dispatch(token, request_id, version, request);
+                Ok((request_id, request)) => {
+                    self.dispatch(token, request_id, request);
                 }
                 Err((request_id, error)) => {
                     let conn = self.conns.get_mut(&token).expect("conn present");
@@ -481,15 +472,11 @@ impl EventLoop {
     }
 
     /// Handles one complete request frame: the Hello exchange in the
-    /// Handshake state, the full dispatch table once Open. Mirrors the
-    /// threaded `handshake` + `read_loop` exactly.
-    fn dispatch(&mut self, token: u64, request_id: u64, version: u8, request: Request) {
+    /// Handshake state, the full dispatch table once Open.
+    fn dispatch(&mut self, token: u64, request_id: u64, request: Request) {
         let conn = self.conns.get_mut(&token).expect("conn present");
         match &conn.state {
             ConnState::Handshake => {
-                // Non-Hello and admission failures answer at the frame's
-                // version (it parsed, so the client speaks it).
-                conn.version = version;
                 let Request::Hello {
                     database,
                     eval_budget,
@@ -538,8 +525,8 @@ impl EventLoop {
         }
     }
 
-    /// The Open-state dispatch table — request kinds map onto queue items
-    /// exactly as the threaded reader's `Outbound` construction did.
+    /// The Open-state dispatch table: each request kind becomes one
+    /// queue item (or, for credit grants, acts at once).
     fn dispatch_open(
         &mut self,
         token: u64,
@@ -595,47 +582,36 @@ impl EventLoop {
                     with_wire_deadline(LearnJob::new(task, algorithm), deadline_ms, |j, d| {
                         j.with_deadline(d)
                     });
-                let version = self
-                    .conns
-                    .get(&token)
-                    .map(|c| c.version)
-                    .unwrap_or(crate::frame::PROTOCOL_V1);
-                if version >= PROTOCOL_V2 {
-                    // Progress events cross from the runner thread through
-                    // this queue; every push also wakes the loop so frames
-                    // flush promptly. The runner clears the engine's sink
-                    // before completing the handle, so once `try_poll`
-                    // returns the queue is final.
-                    let events: Arc<Mutex<VecDeque<LearnProgress>>> =
-                        Arc::new(Mutex::new(VecDeque::new()));
-                    let sink: ProgressSink = {
-                        let events = Arc::clone(&events);
-                        let waker = Arc::clone(&self.waker);
-                        let obs = Arc::clone(&self.obs);
-                        Arc::new(move |p: &LearnProgress| {
-                            events
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push_back(p.clone());
-                            waker.notify(token, obs.now_ns());
-                        })
-                    };
-                    let handle = session.submit_traced_with_progress(
-                        Job::Learn(Box::new(job)),
-                        request_id,
-                        Some(sink),
-                    );
-                    self.arm_completion(&handle, token);
-                    Pending::LearnStream {
-                        id: request_id,
-                        handle,
-                        events,
-                        seq: 0,
-                    }
-                } else {
-                    let handle = session.submit_traced(Job::Learn(Box::new(job)), request_id);
-                    self.arm_completion(&handle, token);
-                    Pending::Job(request_id, handle)
+                // Progress events cross from the runner thread through
+                // this queue; every push also wakes the loop so frames
+                // flush promptly. The runner clears the engine's sink
+                // before completing the handle, so once `try_poll`
+                // returns the queue is final.
+                let events: Arc<Mutex<VecDeque<LearnProgress>>> =
+                    Arc::new(Mutex::new(VecDeque::new()));
+                let sink: ProgressSink = {
+                    let events = Arc::clone(&events);
+                    let waker = Arc::clone(&self.waker);
+                    let obs = Arc::clone(&self.obs);
+                    Arc::new(move |p: &LearnProgress| {
+                        events
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push_back(p.clone());
+                        waker.notify(token, obs.now_ns());
+                    })
+                };
+                let handle = session.submit_traced_with_progress(
+                    Job::Learn(Box::new(job)),
+                    request_id,
+                    Some(sink),
+                );
+                self.arm_completion(&handle, token);
+                Pending::LearnStream {
+                    id: request_id,
+                    handle,
+                    events,
+                    seq: 0,
                 }
             }
             Request::Mutate(batch) => {
@@ -685,16 +661,7 @@ impl EventLoop {
             // parked at the queue head — and have no response frame.
             Request::StreamCredit { grant } => {
                 let conn = self.conns.get_mut(&token).expect("conn present");
-                if conn.version >= PROTOCOL_V2 {
-                    conn.credit = conn.credit.saturating_add(grant);
-                } else {
-                    conn.queue_error(
-                        request_id,
-                        ErrorCode::Protocol,
-                        0,
-                        "stream credit requires protocol v2".to_string(),
-                    );
-                }
+                conn.credit = conn.credit.saturating_add(grant);
                 return;
             }
         };
@@ -798,8 +765,8 @@ impl EventLoop {
                     let trace = handle.trace_id();
                     conn.outq.pop_front();
                     match result {
-                        Ok(JobResult::Covered(sets)) if conn.version >= PROTOCOL_V2 => {
-                            // v2 streams covered sets as flow-controlled
+                        Ok(JobResult::Covered(sets)) => {
+                            // Covered sets stream as flow-controlled
                             // chunks; an empty result still sends one
                             // (empty) final chunk so the request completes.
                             let chunks: VecDeque<_> = if sets.is_empty() {
@@ -819,9 +786,6 @@ impl EventLoop {
                                 total,
                                 start_ns,
                             });
-                        }
-                        Ok(JobResult::Covered(sets)) => {
-                            self.encode_response(token, id, trace, &Response::Covered(sets));
                         }
                         Ok(JobResult::Scores(counts)) => {
                             self.encode_response(token, id, trace, &Response::Scores(counts));
@@ -869,8 +833,7 @@ impl EventLoop {
                         if conn.close_after_flush {
                             // The read path is done, so no grant can ever
                             // arrive: the stream is permanently wedged.
-                            // Tear down — the threaded writer's credit
-                            // gate closes on teardown the same way.
+                            // Tear down.
                             return Pumped::Dead;
                         }
                         // Parked mid-stream: a StreamCredit grant on the
@@ -885,9 +848,7 @@ impl EventLoop {
                         body: StreamBody::CoveredChunk(chunk),
                     };
                     *seq += 1;
-                    let (id, version) = (*id, conn.version);
-                    write_response_v(&mut conn.wbuf, version, id, &frame)
-                        .expect("vec writes cannot fail");
+                    write_response(&mut conn.wbuf, *id, &frame).expect("vec writes cannot fail");
                 }
                 Pending::LearnStream {
                     id,
@@ -917,8 +878,7 @@ impl EventLoop {
                             body: StreamBody::Progress(progress),
                         };
                         *seq += 1;
-                        let (id, version) = (*id, conn.version);
-                        write_response_v(&mut conn.wbuf, version, id, &frame)
+                        write_response(&mut conn.wbuf, *id, &frame)
                             .expect("vec writes cannot fail");
                         continue;
                     }
@@ -954,8 +914,7 @@ impl EventLoop {
         let conn = self.conns.get_mut(&token).expect("conn present");
         let start_ns = self.obs.now_ns();
         let timer = self.obs.timer();
-        write_response_v(&mut conn.wbuf, conn.version, request_id, response)
-            .expect("vec writes cannot fail");
+        write_response(&mut conn.wbuf, request_id, response).expect("vec writes cannot fail");
         if timer.is_live() {
             let dur_ns = timer.stop_ns(&self.reply_ns);
             self.obs
@@ -973,5 +932,33 @@ impl EventLoop {
             }
             self.loop_connections.set(self.conns.len() as i64);
         }
+    }
+}
+
+/// The typed error frame (if any) to send for a framing failure.
+/// Socket-level failures get no frame — there is no one to read it.
+fn frame_error_response(error: &FrameError) -> Option<(ErrorCode, usize, String)> {
+    match error {
+        FrameError::Io(_) | FrameError::Closed => None,
+        FrameError::TooLarge { declared: _, limit } => {
+            Some((ErrorCode::FrameTooLarge, *limit, error.to_string()))
+        }
+        FrameError::Malformed(_) => Some((ErrorCode::Malformed, 0, error.to_string())),
+        FrameError::Version { .. } => Some((ErrorCode::UnsupportedVersion, 0, error.to_string())),
+    }
+}
+
+/// Applies a wire deadline to a job through its builder, when one rode
+/// along on the frame. A wire deadline is relative (milliseconds of
+/// patience the client has left) and re-anchored to this server's clock
+/// on arrival — the two hosts' clocks never need to agree.
+fn with_wire_deadline<J>(
+    job: J,
+    deadline_ms: Option<u64>,
+    attach: impl FnOnce(J, Deadline) -> J,
+) -> J {
+    match deadline_ms {
+        Some(ms) => attach(job, Deadline::within(Duration::from_millis(ms))),
+        None => job,
     }
 }

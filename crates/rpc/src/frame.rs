@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     frame length N (u32 LE) — bytes after this prefix
-//! 4       1     protocol version (PROTOCOL_V1 or PROTOCOL_V2)
+//! 4       1     protocol version (PROTOCOL_VERSION = 2)
 //! 5       1     frame kind (request or response discriminant)
 //! 6       8     request id (u64 LE) — echoed verbatim in the response
 //! 14      N-10  payload (kind-specific binary, see `codec`)
@@ -13,11 +13,9 @@
 //! The length prefix is read first and validated against the configured
 //! maximum *before* any allocation, so an oversized or forged frame is
 //! rejected with a typed error instead of a giant buffer. The version
-//! byte is checked next; versions over the reader's maximum produce
-//! [`ErrorCode::UnsupportedVersion`] and the connection closes. A
-//! connection's version is negotiated by the client's `Hello` frame: the
-//! server answers every frame at that version for the life of the
-//! connection, so v1 clients see a byte-identical v1 server. Request
+//! byte is checked once the whole frame has been consumed; any value
+//! other than [`PROTOCOL_VERSION`] produces
+//! [`ErrorCode::UnsupportedVersion`] and the connection closes. Request
 //! ids are chosen by the client and echoed by the server, which lets a
 //! client multiplex any number of in-flight requests on one connection.
 
@@ -31,26 +29,20 @@ use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
 
-/// Protocol v1: the original frame set (PR 5–7). Still spoken verbatim —
-/// a v1 connection's frames are byte-identical to the pre-v2 build.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol v2: adds streaming response frames ([`Response::Stream`])
-/// with client-granted flow-control credit ([`Request::StreamCredit`],
-/// plus an initial-credit field trailing `Hello`). Negotiated per
-/// connection via the version byte of the client's `Hello` frame.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// The highest protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
+/// The protocol version stamped into, and required of, every frame's
+/// header. Version 2 is the frame set with streaming responses
+/// ([`Response::Stream`]) under client-granted flow-control credit
+/// ([`Request::StreamCredit`], plus an initial-credit field trailing
+/// `Hello`).
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Stream frames a server may write before it needs a fresh
 /// [`Request::StreamCredit`] grant, when the client's `Hello` carries no
 /// explicit initial credit.
 pub const DEFAULT_STREAM_CREDIT: u64 = 1024;
 
-/// Covered sets per [`StreamBody::CoveredChunk`] frame when a v2
-/// connection streams a coverage result.
+/// Covered sets per [`StreamBody::CoveredChunk`] frame when the server
+/// streams a coverage result.
 pub const COVERED_CHUNK_SETS: usize = 8;
 
 /// Frame header bytes after the length prefix (version + kind + request
@@ -96,7 +88,7 @@ impl fmt::Display for FrameError {
             FrameError::Version { got } => {
                 write!(
                     f,
-                    "peer speaks protocol version {got}, this build speaks up to {PROTOCOL_VERSION}"
+                    "peer speaks protocol version {got}, this build speaks {PROTOCOL_VERSION}"
                 )
             }
         }
@@ -172,20 +164,15 @@ impl ErrorCode {
 pub enum Request {
     /// Opens the connection's session: the database to bind to plus an
     /// optional per-test node-budget override. Must be the first frame.
-    /// The frame's version byte negotiates the connection protocol: the
-    /// server answers at the client's version when it speaks it, and
-    /// rejects with [`ErrorCode::UnsupportedVersion`] otherwise.
     Hello {
         /// The registered database name.
         database: String,
         /// Per-session node-budget override, if any.
         eval_budget: Option<usize>,
-        /// Initial stream-frame credit (v2): how many [`Response::Stream`]
+        /// Initial stream-frame credit: how many [`Response::Stream`]
         /// frames the server may write before waiting for a
         /// [`Request::StreamCredit`] grant. Encoded as a trailing field
-        /// only when present, so credit-free Hellos (every v1 client) are
-        /// byte-identical to the v1 wire format. Absent means
-        /// [`DEFAULT_STREAM_CREDIT`].
+        /// only when present; absent means [`DEFAULT_STREAM_CREDIT`].
         stream_credit: Option<u64>,
     },
     /// [`castor_service::CoverageJob`] over the wire.
@@ -233,10 +220,10 @@ pub enum Request {
     /// The server's recent spans as Chrome-trace JSON (load
     /// `chrome://tracing` or Perfetto on the payload).
     TraceDump,
-    /// Grants the server `grant` additional stream frames (v2 flow
-    /// control; connection-scoped). Has no response frame. A server whose
-    /// credit is spent blocks *its own connection's* writer until the
-    /// next grant arrives — other connections are unaffected.
+    /// Grants the server `grant` additional stream frames (flow control,
+    /// connection-scoped). Has no response frame. A server whose credit
+    /// is spent parks *this connection's* stream until the next grant
+    /// arrives — other connections are unaffected.
     StreamCredit {
         /// Additional stream frames the server may write.
         grant: u64,
@@ -360,7 +347,7 @@ fn take_trailing_uvarint(r: &mut ByteReader<'_>) -> Result<Option<u64>, CodecErr
     }
 }
 
-/// One chunk of an in-progress response on a v2 connection (the body of
+/// One chunk of an in-progress response (the body of
 /// [`Response::Stream`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamBody {
@@ -434,7 +421,7 @@ pub enum Response {
     Metrics(String),
     /// The span ring rendered as Chrome-trace JSON.
     TraceDump(String),
-    /// One streamed chunk of an in-progress response (v2 only). Stream
+    /// One streamed chunk of an in-progress response. Stream
     /// frames echo the originating request id, carry a per-request
     /// sequence number, and count against the connection's flow-control
     /// credit. A [`StreamBody::CoveredChunk`] with `last` set completes
@@ -588,11 +575,9 @@ impl Response {
     }
 }
 
-/// Writes one frame (header + payload) to `writer`, stamping `version`
-/// into the header's version byte.
+/// Writes one frame (header + payload) to `writer`.
 fn write_frame(
     writer: &mut impl Write,
-    version: u8,
     kind: u8,
     request_id: u64,
     payload: &[u8],
@@ -601,7 +586,7 @@ fn write_frame(
     let len32 = u32::try_from(len).map_err(|_| CodecError::new("frame length exceeds u32::MAX"))?;
     let mut header = [0u8; 4 + HEADER_BYTES];
     header[..4].copy_from_slice(&len32.to_le_bytes());
-    header[4] = version;
+    header[4] = PROTOCOL_VERSION;
     header[5] = kind;
     header[6..14].copy_from_slice(&request_id.to_le_bytes());
     writer.write_all(&header)?;
@@ -610,74 +595,37 @@ fn write_frame(
     Ok(())
 }
 
-/// Writes one request frame at the given protocol version.
-pub fn write_request_v(
-    writer: &mut impl Write,
-    version: u8,
-    request_id: u64,
-    request: &Request,
-) -> Result<(), FrameError> {
-    let mut w = ByteWriter::new();
-    request.encode_payload(&mut w);
-    write_frame(writer, version, request.kind(), request_id, &w.into_bytes())
-}
-
-/// Writes one v1 request frame — byte-identical to the pre-v2 wire
-/// format for every v1 request shape.
+/// Writes one request frame.
 pub fn write_request(
     writer: &mut impl Write,
     request_id: u64,
     request: &Request,
 ) -> Result<(), FrameError> {
-    write_request_v(writer, PROTOCOL_V1, request_id, request)
-}
-
-/// Writes one response frame at the given protocol version.
-pub fn write_response_v(
-    writer: &mut impl Write,
-    version: u8,
-    request_id: u64,
-    response: &Response,
-) -> Result<(), FrameError> {
     let mut w = ByteWriter::new();
-    response.encode_payload(&mut w);
-    write_frame(
-        writer,
-        version,
-        response.kind(),
-        request_id,
-        &w.into_bytes(),
-    )
+    request.encode_payload(&mut w);
+    write_frame(writer, request.kind(), request_id, &w.into_bytes())
 }
 
-/// Writes one v1 response frame (see [`write_request`]).
+/// Writes one response frame.
 pub fn write_response(
     writer: &mut impl Write,
     request_id: u64,
     response: &Response,
 ) -> Result<(), FrameError> {
-    write_response_v(writer, PROTOCOL_V1, request_id, response)
+    let mut w = ByteWriter::new();
+    response.encode_payload(&mut w);
+    write_frame(writer, response.kind(), request_id, &w.into_bytes())
 }
 
-/// One parsed frame header plus its raw payload.
-struct RawFrame {
-    version: u8,
-    kind: u8,
-    request_id: u64,
-    payload: Vec<u8>,
-}
-
-/// Reads one frame, enforcing `max_frame_bytes` *before* allocating the
-/// payload (which is read straight into its own buffer — no second
-/// copy). A clean EOF at a frame boundary is [`FrameError::Closed`].
-/// Version bytes in `1..=max_version` are accepted (the negotiated
-/// connection version rides in the returned frame); anything else is
-/// [`FrameError::Version`].
-fn read_frame(
+/// Reads one response frame (client side), enforcing `max_frame_bytes`
+/// *before* allocating the payload (which is read straight into its own
+/// buffer — no second copy). A clean EOF at a frame boundary is
+/// [`FrameError::Closed`]; a version byte other than
+/// [`PROTOCOL_VERSION`] is [`FrameError::Version`].
+pub fn read_response(
     reader: &mut impl Read,
     max_frame_bytes: usize,
-    max_version: u8,
-) -> Result<RawFrame, FrameError> {
+) -> Result<(u64, Response), FrameError> {
     let mut prefix = [0u8; 4];
     match reader.read_exact(&mut prefix) {
         Ok(()) => {}
@@ -686,6 +634,24 @@ fn read_frame(
         }
         Err(e) => return Err(FrameError::Io(e)),
     }
+    let declared = check_declared_length(prefix, max_frame_bytes)?;
+    let mut header = [0u8; HEADER_BYTES];
+    reader.read_exact(&mut header)?;
+    let mut payload = vec![0u8; declared - HEADER_BYTES];
+    reader.read_exact(&mut payload)?;
+    if header[0] != PROTOCOL_VERSION {
+        return Err(FrameError::Version { got: header[0] });
+    }
+    let request_id = u64::from_le_bytes(header[2..10].try_into().expect("8 header bytes"));
+    let mut r = ByteReader::new(&payload);
+    let response = Response::decode_payload(header[1], &mut r)?;
+    r.finish()?;
+    Ok((request_id, response))
+}
+
+/// Validates a frame's length prefix: at least a header, at most the cap.
+/// Runs before anything is allocated for the frame.
+fn check_declared_length(prefix: [u8; 4], max_frame_bytes: usize) -> Result<usize, FrameError> {
     let declared = u32::from_le_bytes(prefix) as usize;
     if declared < HEADER_BYTES {
         return Err(FrameError::Malformed(CodecError::new(format!(
@@ -698,85 +664,17 @@ fn read_frame(
             limit: max_frame_bytes,
         });
     }
-    let mut header = [0u8; HEADER_BYTES];
-    reader.read_exact(&mut header)?;
-    let mut payload = vec![0u8; declared - HEADER_BYTES];
-    reader.read_exact(&mut payload)?;
-    // The version check runs after the payload is consumed: an error
-    // reply followed by a close must leave no unread bytes behind, or the
-    // close degrades from FIN to RST and the peer loses the error frame.
-    let version = header[0];
-    if !(PROTOCOL_V1..=max_version).contains(&version) {
-        return Err(FrameError::Version { got: version });
-    }
-    Ok(RawFrame {
-        version,
-        kind: header[1],
-        request_id: u64::from_le_bytes(header[2..10].try_into().expect("8 header bytes")),
-        payload,
-    })
+    Ok(declared)
 }
 
-/// Reads one request frame (server side), accepting versions up to
-/// `max_version` and reporting the frame's version byte alongside the
-/// request — the server pins the connection to the version of the `Hello`
-/// frame. On a payload decode failure the already-parsed request id rides
-/// along (`Some`), so the server can correlate its typed error frame with
-/// the request that caused it; header-level failures have no id (`None`).
-pub fn read_request_versioned(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-    max_version: u8,
-) -> Result<(u64, u8, Request), (Option<u64>, FrameError)> {
-    let frame = read_frame(reader, max_frame_bytes, max_version).map_err(|e| (None, e))?;
-    let mut r = ByteReader::new(&frame.payload);
-    let decoded = Request::decode_payload(frame.kind, &mut r).and_then(|request| {
-        r.finish()?;
-        Ok(request)
-    });
-    match decoded {
-        Ok(request) => Ok((frame.request_id, frame.version, request)),
-        Err(e) => Err((Some(frame.request_id), e.into())),
-    }
-}
+/// One frame drained from a [`FrameAccumulator`]: the request id and
+/// request, or the error together with the request id when the frame
+/// header was intact.
+pub type DecodedRequest = Result<(u64, Request), (Option<u64>, FrameError)>;
 
-/// [`read_request_versioned`] at this build's maximum version, without
-/// the frame's version byte.
-pub fn read_request_tagged(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(u64, Request), (Option<u64>, FrameError)> {
-    read_request_versioned(reader, max_frame_bytes, PROTOCOL_VERSION)
-        .map(|(id, _, request)| (id, request))
-}
-
-/// [`read_request_tagged`] without the error-side request id.
-pub fn read_request(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(u64, Request), FrameError> {
-    read_request_tagged(reader, max_frame_bytes).map_err(|(_, e)| e)
-}
-
-/// Reads one response frame (client side). Accepts any version this
-/// build speaks: on a negotiated connection every response carries the
-/// connection version, which the client already knows.
-pub fn read_response(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(u64, Response), FrameError> {
-    let frame = read_frame(reader, max_frame_bytes, PROTOCOL_VERSION)?;
-    let mut r = ByteReader::new(&frame.payload);
-    let response = Response::decode_payload(frame.kind, &mut r)?;
-    r.finish()?;
-    Ok((frame.request_id, response))
-}
-
-/// Incremental request-frame accumulation for non-blocking transports:
-/// the event-loop server feeds whatever bytes a readiness-driven read
+/// Incremental request-frame decoding, the server's only request
+/// decoder: the event loop feeds whatever bytes a readiness-driven read
 /// produced and drains complete frames, never blocking mid-frame.
-///
-/// Semantics mirror the blocking [`read_request_versioned`] exactly:
 ///
 /// * the length prefix is validated against the cap **before** the
 ///   payload is buffered (an oversized frame errors after 4 bytes, no
@@ -793,18 +691,16 @@ pub struct FrameAccumulator {
     /// amortized instead of shifting the buffer per frame).
     pos: usize,
     max_frame_bytes: usize,
-    max_version: u8,
     poisoned: bool,
 }
 
 impl FrameAccumulator {
-    /// An empty accumulator with the connection's negotiated limits.
-    pub fn new(max_frame_bytes: usize, max_version: u8) -> FrameAccumulator {
+    /// An empty accumulator enforcing the given frame cap.
+    pub fn new(max_frame_bytes: usize) -> FrameAccumulator {
         FrameAccumulator {
             buf: Vec::new(),
             pos: 0,
             max_frame_bytes,
-            max_version,
             poisoned: false,
         }
     }
@@ -841,10 +737,7 @@ impl FrameAccumulator {
         }
     }
 
-    fn poison<T>(
-        &mut self,
-        error: (Option<u64>, FrameError),
-    ) -> Option<Result<T, (Option<u64>, FrameError)>> {
+    fn poison(&mut self, error: (Option<u64>, FrameError)) -> Option<DecodedRequest> {
         self.poisoned = true;
         self.buf.clear();
         self.pos = 0;
@@ -855,11 +748,9 @@ impl FrameAccumulator {
     /// `None` means "need more bytes" (or the accumulator is poisoned);
     /// errors carry the already-parsed request id when the frame header
     /// was intact (payload decode failures), `None` for header-level
-    /// failures — the same contract as [`read_request_versioned`].
-    #[allow(clippy::type_complexity)]
-    pub fn next_request(
-        &mut self,
-    ) -> Option<Result<(u64, u8, Request), (Option<u64>, FrameError)>> {
+    /// failures, so the server's typed error frame can echo the id of the
+    /// request that caused it.
+    pub fn next_request(&mut self) -> Option<DecodedRequest> {
         if self.poisoned {
             return None;
         }
@@ -867,24 +758,11 @@ impl FrameAccumulator {
         if avail.len() < 4 {
             return None;
         }
-        let declared = u32::from_le_bytes(avail[..4].try_into().expect("4 prefix bytes")) as usize;
-        if declared < HEADER_BYTES {
-            return self.poison((
-                None,
-                FrameError::Malformed(CodecError::new(format!(
-                    "frame length {declared} is shorter than the {HEADER_BYTES}-byte header"
-                ))),
-            ));
-        }
-        if declared > self.max_frame_bytes {
-            return self.poison((
-                None,
-                FrameError::TooLarge {
-                    declared,
-                    limit: self.max_frame_bytes,
-                },
-            ));
-        }
+        let prefix = avail[..4].try_into().expect("4 prefix bytes");
+        let declared = match check_declared_length(prefix, self.max_frame_bytes) {
+            Ok(declared) => declared,
+            Err(error) => return self.poison((None, error)),
+        };
         if avail.len() < 4 + declared {
             return None;
         }
@@ -896,7 +774,7 @@ impl FrameAccumulator {
         // The whole frame is consumed before the version check (see the
         // type docs: error + close must not leave unread bytes behind).
         self.consume(4 + declared);
-        if !(PROTOCOL_V1..=self.max_version).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return self.poison((None, FrameError::Version { got: version }));
         }
         let mut r = ByteReader::new(&payload);
@@ -905,23 +783,17 @@ impl FrameAccumulator {
             Ok(request)
         });
         match decoded {
-            Ok(request) => Some(Ok((request_id, version, request))),
+            Ok(request) => Some(Ok((request_id, request))),
             Err(e) => self.poison((Some(request_id), e.into())),
         }
     }
 }
 
-/// Encodes a request to raw frame bytes at the given protocol version.
-pub fn request_to_bytes_v(version: u8, request_id: u64, request: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_request_v(&mut out, version, request_id, request).expect("vec writes cannot fail");
-    out
-}
-
-/// Encodes a request to raw v1 frame bytes (test helper and bench
-/// fodder).
+/// Encodes a request to raw frame bytes (test helper and bench fodder).
 pub fn request_to_bytes(request_id: u64, request: &Request) -> Vec<u8> {
-    request_to_bytes_v(PROTOCOL_V1, request_id, request)
+    let mut out = Vec::new();
+    write_request(&mut out, request_id, request).expect("vec writes cannot fail");
+    out
 }
 
 /// `Wire` helpers are re-exported for payload-level tooling.
@@ -932,9 +804,18 @@ mod tests {
     use super::*;
     use castor_logic::Atom;
 
+    /// Feeds `bytes` to a fresh accumulator and drains one frame.
+    fn decode_request(bytes: &[u8], max_frame_bytes: usize) -> Option<DecodedRequest> {
+        let mut acc = FrameAccumulator::new(max_frame_bytes);
+        acc.feed(bytes);
+        acc.next_request()
+    }
+
     fn roundtrip_request(request: Request) {
         let bytes = request_to_bytes(7, &request);
-        let (id, decoded) = read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let (id, decoded) = decode_request(&bytes, DEFAULT_MAX_FRAME_BYTES)
+            .expect("a whole frame")
+            .unwrap();
         assert_eq!(id, 7);
         assert_eq!(decoded, request);
     }
@@ -1045,8 +926,9 @@ mod tests {
         // base frame plus trailing bytes — the extension is purely
         // appended, never reshuffles existing fields.
         assert_eq!(&deadline_bytes[4..base_bytes.len()], &base_bytes[4..]);
-        let (_, decoded) =
-            read_request(&mut base_bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let (_, decoded) = decode_request(&base_bytes, DEFAULT_MAX_FRAME_BYTES)
+            .expect("a whole frame")
+            .unwrap();
         assert_eq!(decoded, base);
 
         // Same rule on the response side: a zero retry-after hint encodes
@@ -1080,9 +962,9 @@ mod tests {
     }
 
     #[test]
-    fn hello_credit_field_is_version_tolerant_and_version_byte_negotiates() {
-        // A credit-free Hello is byte-identical to the v1 wire format
-        // past the length prefix, so a v1 server parses it unchanged.
+    fn hello_credit_field_is_a_trailing_extension() {
+        // A credit-free Hello is a credit-carrying Hello minus its
+        // trailing bytes: the field is appended, never reshuffled in.
         let bare = Request::Hello {
             database: "demo".into(),
             eval_budget: None,
@@ -1097,83 +979,66 @@ mod tests {
         let credit_bytes = request_to_bytes(1, &with_credit);
         assert!(credit_bytes.len() > bare_bytes.len());
         assert_eq!(&credit_bytes[4..bare_bytes.len()], &bare_bytes[4..]);
-
-        // The version wrappers stamp exactly the version byte and nothing
-        // else: a v2 frame differs from its v1 twin only at offset 4.
-        let v1 = request_to_bytes_v(PROTOCOL_V1, 1, &bare);
-        let v2 = request_to_bytes_v(PROTOCOL_V2, 1, &bare);
-        assert_eq!(v1[4], PROTOCOL_V1);
-        assert_eq!(v2[4], PROTOCOL_V2);
-        assert_eq!(&v1[..4], &v2[..4]);
-        assert_eq!(&v1[5..], &v2[5..]);
-
-        // A v1-capped reader rejects the v2 frame; a full reader reports
-        // the version it accepted.
-        assert!(matches!(
-            read_request_versioned(&mut v2.as_slice(), 1 << 20, PROTOCOL_V1),
-            Err((None, FrameError::Version { got: PROTOCOL_V2 }))
-        ));
-        let (_, version, _) =
-            read_request_versioned(&mut v2.as_slice(), 1 << 20, PROTOCOL_VERSION).unwrap();
-        assert_eq!(version, PROTOCOL_V2);
-        let (_, version, _) =
-            read_request_versioned(&mut v1.as_slice(), 1 << 20, PROTOCOL_VERSION).unwrap();
-        assert_eq!(version, PROTOCOL_V1);
+        // Every frame carries the one protocol version at offset 4.
+        assert_eq!(bare_bytes[4], PROTOCOL_VERSION);
+        assert_eq!(credit_bytes[4], PROTOCOL_VERSION);
     }
 
     #[test]
     fn oversized_frames_are_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        // A forged length prefix of 1 GiB with no body behind it.
-        bytes.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        match read_request(&mut bytes.as_slice(), 1024) {
-            Err(FrameError::TooLarge { declared, limit }) => {
+        // A forged length prefix of 1 GiB with no body behind it: the
+        // accumulator rejects it from the four prefix bytes alone.
+        let forged = (1u32 << 30).to_le_bytes();
+        match decode_request(&forged, 1024) {
+            Some(Err((None, FrameError::TooLarge { declared, limit }))) => {
                 assert_eq!(declared, 1 << 30);
                 assert_eq!(limit, 1024);
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+        // The client's response reader applies the same cap.
+        assert!(matches!(
+            read_response(&mut forged.as_slice(), 1024),
+            Err(FrameError::TooLarge { declared, limit: 1024 }) if declared == 1 << 30
+        ));
     }
 
     #[test]
     fn truncated_and_malformed_frames_fail_cleanly() {
         let bytes = request_to_bytes(1, &Request::Report);
-        // Truncation anywhere inside the frame is an error, not a hang or
-        // a panic.
+        // A truncated frame is never a verdict, a hang or a panic: the
+        // accumulator waits for the rest, holding exactly what it got.
         for cut in 1..bytes.len() {
-            assert!(read_request(&mut bytes[..cut].as_ref(), 1 << 20).is_err());
+            let mut acc = FrameAccumulator::new(1 << 20);
+            acc.feed(&bytes[..cut]);
+            assert!(acc.next_request().is_none(), "cut at {cut}");
+            assert_eq!(acc.buffered(), cut);
+            assert!(!acc.is_poisoned());
         }
         // A frame length shorter than the header is malformed.
         let mut short = Vec::new();
         short.extend_from_slice(&3u32.to_le_bytes());
         short.extend_from_slice(&[PROTOCOL_VERSION, 0x06, 0]);
         assert!(matches!(
-            read_request(&mut short.as_slice(), 1 << 20),
-            Err(FrameError::Malformed(_))
+            decode_request(&short, 1 << 20),
+            Some(Err((None, FrameError::Malformed(_))))
         ));
         // A bogus version byte is a version error.
         let mut wrong = request_to_bytes(1, &Request::Report);
         wrong[4] = 42;
         assert!(matches!(
-            read_request(&mut wrong.as_slice(), 1 << 20),
-            Err(FrameError::Version { got: 42 })
+            decode_request(&wrong, 1 << 20),
+            Some(Err((None, FrameError::Version { got: 42 })))
         ));
-        // A clean EOF between frames is Closed, not an IO error.
-        assert!(matches!(
-            read_request(&mut [].as_slice(), 1 << 20),
-            Err(FrameError::Closed)
-        ));
+        // Empty input is no frame yet, not an error.
+        assert!(decode_request(&[], 1 << 20).is_none());
     }
 
     #[test]
     fn accumulator_yields_frames_fed_byte_by_byte() {
         let mut bytes = request_to_bytes(1, &Request::Report);
-        bytes.extend_from_slice(&request_to_bytes_v(
-            PROTOCOL_V2,
-            2,
-            &Request::StreamCredit { grant: 16 },
-        ));
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        bytes.extend_from_slice(&request_to_bytes(2, &Request::StreamCredit { grant: 16 }));
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         let mut seen = Vec::new();
         for &b in &bytes {
             acc.feed(&[b]);
@@ -1184,8 +1049,8 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (1, PROTOCOL_V1, Request::Report),
-                (2, PROTOCOL_V2, Request::StreamCredit { grant: 16 }),
+                (1, Request::Report),
+                (2, Request::StreamCredit { grant: 16 }),
             ]
         );
         assert_eq!(acc.buffered(), 0);
@@ -1193,7 +1058,7 @@ mod tests {
 
     #[test]
     fn accumulator_rejects_oversized_prefix_before_buffering_payload() {
-        let mut acc = FrameAccumulator::new(256, PROTOCOL_V2);
+        let mut acc = FrameAccumulator::new(256);
         acc.feed(&(1u32 << 28).to_le_bytes());
         match acc.next_request() {
             Some(Err((None, FrameError::TooLarge { declared, limit }))) => {
@@ -1212,7 +1077,7 @@ mod tests {
     fn accumulator_checks_version_only_after_consuming_the_full_frame() {
         let mut wrong = request_to_bytes(1, &Request::Report);
         wrong[4] = 42;
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         // Everything but the final byte: no verdict yet — the error path
         // must consume the whole frame first (FIN, not RST).
         acc.feed(&wrong[..wrong.len() - 1]);
@@ -1231,16 +1096,13 @@ mod tests {
         // the error echoes the request id.
         let good = request_to_bytes(9, &Request::Report);
         let mut bad = Vec::new();
-        let body = [PROTOCOL_V1, 0x02, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF];
+        let body = [PROTOCOL_VERSION, 0x02, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF];
         bad.extend_from_slice(&(body.len() as u32).to_le_bytes());
         bad.extend_from_slice(&body);
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         acc.feed(&good);
         acc.feed(&bad);
-        assert!(matches!(
-            acc.next_request(),
-            Some(Ok((9, _, Request::Report)))
-        ));
+        assert!(matches!(acc.next_request(), Some(Ok((9, Request::Report)))));
         assert!(matches!(
             acc.next_request(),
             Some(Err((Some(9), FrameError::Malformed(_))))

@@ -5,31 +5,27 @@
 //! al., SIGMOD 2017) frames Castor as a learning *service* over live
 //! relational databases; `castor-service` runs multi-session learning
 //! in-process, and this crate is the layer that lets anything reach it
-//! over a network — the boundary every future scaling step (sharding,
-//! multi-backend routing) slots behind.
+//! over a network.
 //!
 //! * [`frame`] — versioned length-prefixed frames with request ids (see
 //!   the module docs for the byte layout), request/response bodies, and
-//!   typed error codes; protocol v2 (negotiated per connection by the
-//!   `Hello` frame's version byte) adds streaming response frames —
-//!   learn-progress chunks and chunked covered sets — under
-//!   client-granted flow-control credit, while v1 connections stay
-//!   byte-identical to the pre-v2 wire format;
+//!   typed error codes; every frame carries the one protocol version
+//!   ([`PROTOCOL_VERSION`]), and responses can stream — learn-progress
+//!   chunks and chunked covered sets — under client-granted flow-control
+//!   credit. [`frame::FrameAccumulator`] is the server's request decoder;
 //! * [`codec`] — compact hand-rolled binary encoding (varints, tagged
 //!   enums) for every job and result shape: clauses, tuples, mutation
 //!   batches, learner configurations, engine and server reports;
-//! * [`server`] — [`RpcServer`]: by default a single readiness-driven
-//!   epoll event loop (see [`event_loop`]; [`ServerCore::Threaded`]
-//!   keeps the original thread-per-connection core), mapping each
-//!   connection onto one [`castor_service::Session`]; in-flight
-//!   requests multiplex onto the per-database round-robin queues,
-//!   admission rejections come back as typed error frames, and a
+//! * [`server`] — [`RpcServer`]: one readiness-driven epoll event loop
+//!   (see [`event_loop`]) mapping each connection onto one
+//!   [`castor_service::Session`]; in-flight requests multiplex onto the
+//!   per-database round-robin queues, admission rejections come back as
+//!   typed error frames, and a
 //!   disconnect fires the session's cancel token (queued jobs fail
 //!   fast, the running one aborts within one candidate tuple, the
 //!   admission slot is reclaimed);
 //! * [`sys`] — libc-free epoll/eventfd syscall wrappers the event loop
-//!   stands on (Linux x86_64/aarch64; other targets fall back to the
-//!   threaded core);
+//!   stands on;
 //! * [`client`] — [`RpcClient`]: a blocking client with pipelined
 //!   submits, mirroring the in-process `Session` API shape so callers
 //!   can swap transports;
@@ -40,6 +36,10 @@
 //! * [`fault`] — [`FaultPlan`]: a deterministic, seeded fault-injection
 //!   hook on the server transport (torn writes, dropped/delayed reads,
 //!   byte-exact socket closes) driving the chaos suite.
+//!
+//! The server half (`server`, `event_loop`, `sys`) builds on Linux
+//! x86_64/aarch64 only; the client, codec, frames, retry and fault layers
+//! are portable.
 //!
 //! ## Observability
 //!
@@ -90,6 +90,10 @@ pub mod event_loop;
 pub mod fault;
 pub mod frame;
 pub mod retry;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 pub mod server;
 #[cfg(all(
     target_os = "linux",
@@ -102,7 +106,11 @@ pub use codec::{ByteReader, ByteWriter, CodecError, Wire};
 pub use fault::{FaultAction, FaultKind, FaultPlan, FaultStats, FaultStream};
 pub use frame::{
     ErrorCode, FrameError, Request, Response, StreamBody, DEFAULT_MAX_FRAME_BYTES,
-    DEFAULT_STREAM_CREDIT, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_VERSION,
+    DEFAULT_STREAM_CREDIT, PROTOCOL_VERSION,
 };
 pub use retry::{RetryClient, RetryPolicy};
-pub use server::{RpcConfig, RpcServer, ServerCore};
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub use server::{RpcConfig, RpcServer};

@@ -104,10 +104,6 @@ pub struct RetryClient {
     /// the shard, so it is capped at the policy's base backoff instead of
     /// being honored in full. `None` outside a cluster.
     topology_epoch: Option<Arc<AtomicU64>>,
-    /// Trace id to stamp on the next operation's request frames (all
-    /// attempts), forwarded from an upstream caller for cross-process
-    /// trace stitching.
-    next_trace: Option<u64>,
     obs: Arc<Obs>,
     retries: Arc<Counter>,
     reconnects: Arc<Counter>,
@@ -172,7 +168,6 @@ impl RetryClient {
             // seeds), it just must not be zero for the xorshift step.
             rng: 0x853C_49E6_748F_EA9B,
             topology_epoch: None,
-            next_trace: None,
             obs,
             retries,
             reconnects,
@@ -195,14 +190,6 @@ impl RetryClient {
     pub fn with_topology_epoch(mut self, epoch: Arc<AtomicU64>) -> Self {
         self.topology_epoch = Some(epoch);
         self
-    }
-
-    /// Stamps the next operation's request frames (all attempts) with
-    /// `trace` instead of per-connection sequential ids, so an upstream
-    /// caller's spans stitch to this client's and the server's (see
-    /// [`RpcClient::use_trace_id`]).
-    pub fn use_trace_id(&mut self, trace: u64) {
-        self.next_trace = Some(trace);
     }
 
     /// The current topology epoch, or 0 when none is attached.
@@ -272,17 +259,11 @@ impl RetryClient {
     ) -> Result<T, RpcError> {
         let started = Instant::now();
         let mut attempts = 0u32;
-        let trace = self.next_trace.take();
         loop {
             attempts += 1;
             let epoch_before = self.epoch_now();
             let result = match self.ensure_conn() {
-                Ok(client) => {
-                    if let Some(trace) = trace {
-                        client.use_trace_id(trace);
-                    }
-                    op(client)
-                }
+                Ok(client) => op(client),
                 Err(e) => Err(e),
             };
             let error = match result {
@@ -341,7 +322,6 @@ impl RetryClient {
     ) -> Result<T, RpcError> {
         let started = Instant::now();
         let mut attempts = 0u32;
-        let trace = self.next_trace.take();
         loop {
             attempts += 1;
             let epoch_before = self.epoch_now();
@@ -367,9 +347,6 @@ impl RetryClient {
             }
             // Phase 2 (at most once per session): send and await.
             let client = self.conn.as_mut().expect("just ensured");
-            if let Some(trace) = trace {
-                client.use_trace_id(trace);
-            }
             let error = match op(client) {
                 Ok(value) => return Ok(value),
                 Err(error) => error,
@@ -476,7 +453,7 @@ impl RetryClient {
     }
 
     /// [`RetryClient::learn`] returning the covering-round progress the
-    /// server streamed (empty on a v1 connection); same replay rules.
+    /// server streamed; same replay rules.
     pub fn learn_with_progress(
         &mut self,
         task: LearningTask,

@@ -1,20 +1,6 @@
 //! The RPC server front end: TCP connections mapped onto
-//! [`castor_service::Session`]s, behind a choice of connection core
-//! ([`ServerCore`]).
-//!
-//! The default core on supported platforms is the readiness-driven
-//! epoll event loop in [`crate::event_loop`] — one loop thread owns
-//! every connection. This module also keeps the original *threaded*
-//! core: one acceptor thread takes connections; each connection gets
-//! one *reader* thread (parses request frames, submits jobs onto the
-//! session's queue) and one *writer* thread (joins job handles in
-//! submission order and streams response frames back). Because jobs of
-//! one session execute in submission order, joining in order is
-//! completion order — while the per-database round-robin scheduler
-//! interleaves *other* sessions' jobs between them. Any number of
-//! requests can be in flight on one connection; request ids are echoed so
-//! the client can match responses. Both cores implement the identical
-//! wire contract and are swept by the same chaos/stress suites.
+//! [`castor_service::Session`]s by one readiness-driven epoll event loop
+//! ([`crate::event_loop`]) that owns every connection.
 //!
 //! Request lifecycle:
 //!
@@ -24,82 +10,34 @@
 //! 3. requests are decoded and submitted; per-database in-flight caps
 //!    reject overflow submissions with a typed error frame (the
 //!    connection stays up);
-//! 4. responses stream back as jobs finish, tagged with their request id;
+//! 4. responses stream back in submission order as jobs finish, tagged
+//!    with their request id — any number of requests can be in flight on
+//!    one connection, while the per-database round-robin scheduler
+//!    interleaves *other* sessions' jobs between them;
 //! 5. on disconnect the session's cancel token fires: queued jobs fail
 //!    fast, the running job aborts within one candidate tuple, and the
 //!    session (and its admission slot) is reclaimed.
 
-use crate::fault::{register_fault_collector, FaultPlan, FaultStats, FaultStream};
-use crate::frame::{
-    read_request_versioned, write_response, write_response_v, ErrorCode, FrameError, Request,
-    Response, StreamBody, COVERED_CHUNK_SETS, DEFAULT_MAX_FRAME_BYTES, DEFAULT_STREAM_CREDIT,
-    PROTOCOL_V2, PROTOCOL_VERSION,
-};
-use castor_engine::{LearnProgress, ProgressSink};
-use castor_obs::Obs;
-use castor_service::{
-    CoverageJob, Deadline, Job, JobHandle, JobResult, LearnJob, ScoreJob, Server, ServerError,
-    Session,
-};
-use std::io::BufWriter;
+use crate::fault::{register_fault_collector, FaultPlan, FaultStats};
+use crate::frame::DEFAULT_MAX_FRAME_BYTES;
+use castor_service::Server;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Which connection-handling core the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// One readiness-driven epoll event loop owning every connection
-    /// (see [`crate::event_loop`]): non-blocking sockets, per-connection
-    /// state machines, completions delivered over an eventfd wake path.
-    /// The default on supported platforms (Linux x86_64/aarch64); falls
-    /// back to [`ServerCore::Threaded`] elsewhere.
-    EventLoop,
-    /// The original model: one reader plus one writer thread per
-    /// connection. Kept for migration comparison and as the portable
-    /// fallback; semantics are identical.
-    Threaded,
-}
-
-impl Default for ServerCore {
-    fn default() -> Self {
-        if cfg!(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )) {
-            ServerCore::EventLoop
-        } else {
-            ServerCore::Threaded
-        }
-    }
-}
 
 /// RPC front-end knobs.
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
     /// Cap on one frame's declared length; larger frames are rejected
-    /// with [`ErrorCode::FrameTooLarge`] before any allocation.
+    /// with [`crate::ErrorCode::FrameTooLarge`] before any allocation.
     pub max_frame_bytes: usize,
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production): accepted connections are wrapped in
-    /// [`FaultStream`]s armed from this plan by accept order, and every
-    /// fired fault is counted in the server's
+    /// [`crate::FaultStream`]s armed from this plan by accept order, and
+    /// every fired fault is counted in the server's
     /// `castor_fault_injected_total{kind=...}` metric family.
     pub fault_plan: Option<FaultPlan>,
-    /// Highest protocol version this server negotiates (default: this
-    /// build's [`PROTOCOL_VERSION`]). Set to [`crate::PROTOCOL_V1`] to
-    /// emulate a pre-v2 server byte-for-byte — v2 Hellos are then
-    /// rejected with [`ErrorCode::UnsupportedVersion`], exactly as the
-    /// old build would.
-    pub max_protocol_version: u8,
-    /// Connection-handling core (default: the event loop where
-    /// supported). Both cores speak the same wire protocol with the same
-    /// ordering/cancellation semantics; the chaos and stress suites run
-    /// against both.
-    pub core: ServerCore,
 }
 
 impl Default for RpcConfig {
@@ -107,8 +45,6 @@ impl Default for RpcConfig {
         RpcConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             fault_plan: None,
-            max_protocol_version: PROTOCOL_VERSION,
-            core: ServerCore::default(),
         }
     }
 }
@@ -125,78 +61,17 @@ impl RpcConfig {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// Returns a copy capped at the given protocol version.
-    pub fn with_max_protocol_version(mut self, version: u8) -> Self {
-        self.max_protocol_version = version;
-        self
-    }
-
-    /// Returns a copy running the given connection core.
-    pub fn with_core(mut self, core: ServerCore) -> Self {
-        self.core = core;
-        self
-    }
-}
-
-/// Connection-scoped stream flow control: the client's grants accumulate
-/// here, and the connection's writer consumes one credit per
-/// [`Response::Stream`] frame — blocking (only its own connection; every
-/// connection has its own writer thread) when the budget is spent.
-/// Closing releases any blocked consumer so teardown never deadlocks.
-struct StreamCredit {
-    state: Mutex<(u64, bool)>,
-    woken: Condvar,
-}
-
-impl StreamCredit {
-    fn new(initial: u64) -> StreamCredit {
-        StreamCredit {
-            state: Mutex::new((initial, false)),
-            woken: Condvar::new(),
-        }
-    }
-
-    /// Adds `n` stream frames to the budget.
-    fn grant(&self, n: u64) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.0 = state.0.saturating_add(n);
-        self.woken.notify_all();
-    }
-
-    /// Marks the connection as closing; blocked consumers return `false`.
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.1 = true;
-        self.woken.notify_all();
-    }
-
-    /// Takes one credit, blocking until one is granted. Returns `false`
-    /// once the connection is closing — the caller abandons the stream.
-    fn consume(&self) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.1 {
-                return false;
-            }
-            if state.0 > 0 {
-                state.0 -= 1;
-                return true;
-            }
-            state = self.woken.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
 }
 
 /// A running RPC front end over a [`castor_service::Server`].
 ///
-/// Dropping the handle stops accepting new connections (established
-/// connections keep running until their clients disconnect).
+/// Dropping the handle stops the event loop: open connections are
+/// cancelled and their sessions reclaimed.
 pub struct RpcServer {
     service: Arc<Server>,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     fault_stats: Arc<FaultStats>,
 }
 
@@ -225,32 +100,22 @@ impl RpcServer {
             // armed — production scrapes stay free of chaos-only series.
             register_fault_collector(service.obs(), Arc::clone(&fault_stats));
         }
-        let acceptor = {
+        let event_loop = {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             let fault_stats = Arc::clone(&fault_stats);
-            match effective_core(config.core) {
-                #[cfg(all(
-                    target_os = "linux",
-                    any(target_arch = "x86_64", target_arch = "aarch64")
-                ))]
-                ServerCore::EventLoop => std::thread::Builder::new()
-                    .name("castor-rpc-loop".to_string())
-                    .spawn(move || {
-                        crate::event_loop::run(listener, service, config, shutdown, fault_stats)
-                    })
-                    .expect("failed to spawn event-loop thread"),
-                _ => std::thread::Builder::new()
-                    .name("castor-rpc-acceptor".to_string())
-                    .spawn(move || accept_loop(listener, service, config, shutdown, fault_stats))
-                    .expect("failed to spawn acceptor thread"),
-            }
+            std::thread::Builder::new()
+                .name("castor-rpc-loop".to_string())
+                .spawn(move || {
+                    crate::event_loop::run(listener, service, config, shutdown, fault_stats)
+                })
+                .expect("failed to spawn event-loop thread")
         };
         Ok(RpcServer {
             service,
             addr,
             shutdown,
-            acceptor: Some(acceptor),
+            event_loop: Some(event_loop),
             fault_stats,
         })
     }
@@ -274,570 +139,14 @@ impl RpcServer {
     }
 }
 
-/// The core that actually runs: the event loop needs the epoll/eventfd
-/// syscall layer, so unsupported platforms silently get the threaded
-/// fallback.
-fn effective_core(requested: ServerCore) -> ServerCore {
-    if cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )) {
-        requested
-    } else {
-        ServerCore::Threaded
-    }
-}
-
 impl Drop for RpcServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept() so the acceptor observes the flag.
+        // Make the listener readable so the loop wakes and observes the
+        // flag without waiting out its poll timeout.
         let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
         }
     }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    service: Arc<Server>,
-    config: RpcConfig,
-    shutdown: Arc<AtomicBool>,
-    fault_stats: Arc<FaultStats>,
-) {
-    let mut conn_index: u64 = 0;
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        // Connections are armed with their fault schedule by accept
-        // order: deterministic plans target "the first connection"
-        // regardless of OS-level accept timing.
-        let fault_state = config
-            .fault_plan
-            .as_ref()
-            .and_then(|plan| plan.arm(conn_index, &fault_stats));
-        conn_index += 1;
-        let stream = FaultStream::new(stream, fault_state);
-        let service = Arc::clone(&service);
-        let config = config.clone();
-        let _ = std::thread::Builder::new()
-            .name("castor-rpc-conn".to_string())
-            .spawn(move || serve_connection(stream, service, config));
-    }
-}
-
-/// One item the reader hands the writer. Order in the channel is
-/// response order on the wire; `Lazy` responses are *evaluated on the
-/// writer thread*, after every earlier item has been joined and written,
-/// so a pipelined `Report` observes the jobs submitted before it —
-/// exactly like calling `Session::report()` after in-process joins.
-enum Outbound {
-    Ready(u64, Response),
-    Job(u64, JobHandle),
-    Lazy(u64, Box<dyn FnOnce() -> Response + Send>),
-    /// A v2 learn: progress events stream from the runner thread through
-    /// the channel and onto the wire as `Stream` frames, then the joined
-    /// terminal result follows as an ordinary (credit-exempt) frame.
-    LearnStream(u64, JobHandle, Receiver<LearnProgress>),
-}
-
-/// Serves one connection to completion. Errors end the connection; the
-/// session (dropped at the end of this function) releases its admission
-/// slot, and its cancel token aborts whatever was still running.
-fn serve_connection(stream: FaultStream, service: Arc<Server>, config: RpcConfig) {
-    let mut reader = match stream.try_clone() {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
-    let writer = stream;
-
-    // Handshake: the first frame must be a well-formed Hello for a
-    // database this server can admit a session to. Its version byte pins
-    // the connection protocol; its trailing credit field (v2) seeds the
-    // stream budget. The session is shared with the writer thread, which
-    // snapshots reports in response order.
-    let Some((session, version, initial_credit)) =
-        handshake(&mut reader, &writer, &service, &config)
-    else {
-        return;
-    };
-    let session = Arc::new(session);
-    let credit = Arc::new(StreamCredit::new(initial_credit));
-
-    let (tx, rx): (Sender<Outbound>, Receiver<Outbound>) = channel();
-    let writer_thread = {
-        let obs = Arc::clone(service.obs());
-        let credit = Arc::clone(&credit);
-        std::thread::Builder::new()
-            .name("castor-rpc-writer".to_string())
-            .spawn(move || write_loop(writer, rx, obs, version, credit))
-            .expect("failed to spawn writer thread")
-    };
-
-    read_loop(
-        &mut reader,
-        &service,
-        &session,
-        &config,
-        &tx,
-        version,
-        &credit,
-    );
-
-    // The client is gone (or sent garbage): abort its in-flight work.
-    // Queued jobs fail fast on the cancel token; the running job unwinds
-    // through its budget loop within one candidate tuple. Closing the
-    // credit gate first releases a writer blocked mid-stream on an
-    // exhausted budget — otherwise the join below would deadlock on a
-    // client that left without granting.
-    credit.close();
-    session.cancel();
-    drop(tx);
-    let _ = writer_thread.join();
-    // `session` drops here: the admission slot is released and the
-    // (drained) queue entry reclaimed.
-}
-
-/// Performs the Hello exchange; `None` means the connection is done.
-/// Returns the opened session, the negotiated protocol version (the
-/// Hello frame's version byte), and the connection's initial stream
-/// credit. Failures *before* negotiation completes are answered at v1 —
-/// the one version every client reads.
-fn handshake(
-    reader: &mut FaultStream,
-    writer: &FaultStream,
-    service: &Arc<Server>,
-    config: &RpcConfig,
-) -> Option<(Session, u8, u64)> {
-    let mut writer = BufWriter::new(writer.try_clone().ok()?);
-    let (request_id, version, request) =
-        match read_request_versioned(reader, config.max_frame_bytes, config.max_protocol_version) {
-            Ok(frame) => frame,
-            Err((request_id, error)) => {
-                if let Some((code, limit, message)) = frame_error_response(&error) {
-                    let _ = write_response(
-                        &mut writer,
-                        request_id.unwrap_or(0),
-                        &Response::Error {
-                            code,
-                            limit,
-                            message,
-                            retry_after_ms: 0,
-                        },
-                    );
-                }
-                return None;
-            }
-        };
-    let Request::Hello {
-        database,
-        eval_budget,
-        stream_credit,
-    } = request
-    else {
-        let _ = write_response_v(
-            &mut writer,
-            version,
-            request_id,
-            &Response::Error {
-                code: ErrorCode::Protocol,
-                limit: 0,
-                message: "first frame must be Hello".to_string(),
-                retry_after_ms: 0,
-            },
-        );
-        return None;
-    };
-    let session = match service.session(&database) {
-        Ok(session) => session,
-        Err(error) => {
-            let (code, limit) = match &error {
-                ServerError::UnknownDatabase(_) => (ErrorCode::UnknownDatabase, 0),
-                ServerError::SessionLimit { limit } => (ErrorCode::SessionLimit, *limit),
-                ServerError::DuplicateDatabase(_) => (ErrorCode::Protocol, 0),
-            };
-            let _ = write_response_v(
-                &mut writer,
-                version,
-                request_id,
-                &Response::Error {
-                    code,
-                    limit,
-                    message: error.to_string(),
-                    retry_after_ms: 0,
-                },
-            );
-            return None;
-        }
-    };
-    let session = match eval_budget {
-        Some(budget) => session.with_eval_budget(budget),
-        None => session,
-    };
-    if write_response_v(&mut writer, version, request_id, &Response::HelloOk).is_err() {
-        return None;
-    }
-    Some((
-        session,
-        version,
-        stream_credit.unwrap_or(DEFAULT_STREAM_CREDIT),
-    ))
-}
-
-/// The typed error frame (if any) to send for a handshake/read failure.
-/// Socket-level failures get no frame — there is no one to read it.
-pub(crate) fn frame_error_response(error: &FrameError) -> Option<(ErrorCode, usize, String)> {
-    match error {
-        FrameError::Io(_) | FrameError::Closed => None,
-        FrameError::TooLarge { declared: _, limit } => {
-            Some((ErrorCode::FrameTooLarge, *limit, error.to_string()))
-        }
-        FrameError::Malformed(_) => Some((ErrorCode::Malformed, 0, error.to_string())),
-        FrameError::Version { .. } => Some((ErrorCode::UnsupportedVersion, 0, error.to_string())),
-    }
-}
-
-/// Parses request frames and feeds the writer until the client
-/// disconnects or sends something unrecoverable.
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    reader: &mut FaultStream,
-    service: &Arc<Server>,
-    session: &Arc<Session>,
-    config: &RpcConfig,
-    tx: &Sender<Outbound>,
-    version: u8,
-    credit: &Arc<StreamCredit>,
-) {
-    loop {
-        let (request_id, _, request) = match read_request_versioned(
-            reader,
-            config.max_frame_bytes,
-            config.max_protocol_version,
-        ) {
-            Ok(frame) => frame,
-            Err((request_id, error)) => {
-                if let Some((code, limit, message)) = frame_error_response(&error) {
-                    // A payload decode failure still parsed the frame
-                    // header, so the error frame echoes the request id the
-                    // client chose (0 only for header-level failures).
-                    let _ = tx.send(Outbound::Ready(
-                        request_id.unwrap_or(0),
-                        Response::Error {
-                            code,
-                            limit,
-                            message,
-                            retry_after_ms: 0,
-                        },
-                    ));
-                }
-                // Framing is byte-positional: after a bad frame the stream
-                // cannot be resynchronized, so the connection ends.
-                return;
-            }
-        };
-        let outbound = match request {
-            Request::Hello { .. } => Outbound::Ready(
-                request_id,
-                Response::Error {
-                    code: ErrorCode::Protocol,
-                    limit: 0,
-                    message: "session already open".to_string(),
-                    retry_after_ms: 0,
-                },
-            ),
-            // Jobs are submitted under the frame's request id as their
-            // trace id, so every span the job produces server-side (queue
-            // wait, engine evaluation, reply write) correlates with the
-            // client's own spans for the same request. A wire deadline is
-            // relative (milliseconds of patience the client has left) and
-            // re-anchored to this server's clock here, on arrival — the
-            // two hosts' clocks never need to agree.
-            Request::Coverage {
-                clauses,
-                examples,
-                deadline_ms,
-            } => {
-                let job =
-                    with_wire_deadline(CoverageJob::new(clauses, examples), deadline_ms, |j, d| {
-                        j.with_deadline(d)
-                    });
-                Outbound::Job(
-                    request_id,
-                    session.submit_traced(Job::Coverage(job), request_id),
-                )
-            }
-            Request::Score {
-                clauses,
-                positive,
-                negative,
-                deadline_ms,
-            } => {
-                let job = with_wire_deadline(
-                    ScoreJob::new(clauses, positive, negative),
-                    deadline_ms,
-                    |j, d| j.with_deadline(d),
-                );
-                Outbound::Job(
-                    request_id,
-                    session.submit_traced(Job::Score(job), request_id),
-                )
-            }
-            Request::Learn {
-                task,
-                algorithm,
-                deadline_ms,
-            } => {
-                let job =
-                    with_wire_deadline(LearnJob::new(task, algorithm), deadline_ms, |j, d| {
-                        j.with_deadline(d)
-                    });
-                if version >= PROTOCOL_V2 {
-                    // A v2 learn streams covering-round progress: the sink
-                    // runs on the database's runner thread and must never
-                    // block, so it feeds an unbounded channel the writer
-                    // drains under flow-control credit. The runner clears
-                    // the engine's sink (dropping the sender) before it
-                    // completes the handle, so the writer's drain always
-                    // terminates before the join.
-                    let (progress_tx, progress_rx) = channel::<LearnProgress>();
-                    let sink: ProgressSink = Arc::new(move |p: &LearnProgress| {
-                        let _ = progress_tx.send(p.clone());
-                    });
-                    let handle = session.submit_traced_with_progress(
-                        Job::Learn(Box::new(job)),
-                        request_id,
-                        Some(sink),
-                    );
-                    Outbound::LearnStream(request_id, handle, progress_rx)
-                } else {
-                    Outbound::Job(
-                        request_id,
-                        session.submit_traced(Job::Learn(Box::new(job)), request_id),
-                    )
-                }
-            }
-            Request::Mutate(batch) => Outbound::Job(
-                request_id,
-                session.submit_traced(Job::Mutate(batch), request_id),
-            ),
-            // Reports are snapshotted lazily on the writer thread, after
-            // every earlier in-flight job of this connection has completed
-            // — a pipelined Report therefore includes the counter deltas of
-            // the jobs submitted before it, matching in-process semantics.
-            Request::Report => {
-                let session = Arc::clone(session);
-                Outbound::Lazy(
-                    request_id,
-                    Box::new(move || Response::Report(session.report())),
-                )
-            }
-            Request::ServerReport => {
-                let session = Arc::clone(session);
-                let service = Arc::clone(service);
-                Outbound::Lazy(
-                    request_id,
-                    Box::new(move || {
-                        // The session exists, so the database is
-                        // registered; the engine report can only fail if
-                        // it were dropped, which the service never does.
-                        let engine = service.report(session.database()).unwrap_or_default();
-                        Response::ServerReport {
-                            engine,
-                            server: service.server_report(),
-                        }
-                    }),
-                )
-            }
-            // Metrics and trace dumps snapshot the live registry/ring at
-            // write time; like reports they are evaluated on the writer
-            // thread, after every earlier response has been written.
-            Request::Metrics => {
-                let service = Arc::clone(service);
-                Outbound::Lazy(
-                    request_id,
-                    Box::new(move || Response::Metrics(service.metrics_text())),
-                )
-            }
-            Request::TraceDump => {
-                let service = Arc::clone(service);
-                Outbound::Lazy(
-                    request_id,
-                    Box::new(move || Response::TraceDump(service.trace_json())),
-                )
-            }
-            // Credit grants act immediately (possibly unblocking a writer
-            // mid-stream) and have no response frame of their own.
-            Request::StreamCredit { grant } => {
-                if version >= PROTOCOL_V2 {
-                    credit.grant(grant);
-                    continue;
-                }
-                Outbound::Ready(
-                    request_id,
-                    Response::Error {
-                        code: ErrorCode::Protocol,
-                        limit: 0,
-                        message: "stream credit requires protocol v2".to_string(),
-                        retry_after_ms: 0,
-                    },
-                )
-            }
-        };
-        if tx.send(outbound).is_err() {
-            return;
-        }
-    }
-}
-
-/// Streams responses in channel order: ready responses immediately, job
-/// responses by joining their handles (jobs of one session complete in
-/// submission order, so this never reorders). Exits on the first write
-/// failure — the client is gone.
-///
-/// Each reply's encode+write is timed into
-/// `castor_rpc_reply_encode_ns` and recorded as an `rpc.server.reply`
-/// span under the request's trace id, closing the server-side half of a
-/// wire job's trace (queue wait → engine eval → reply).
-/// Applies a wire deadline to a job through its builder, when one rode
-/// along on the frame.
-pub(crate) fn with_wire_deadline<J>(
-    job: J,
-    deadline_ms: Option<u64>,
-    attach: impl FnOnce(J, Deadline) -> J,
-) -> J {
-    match deadline_ms {
-        Some(ms) => attach(job, Deadline::within(Duration::from_millis(ms))),
-        None => job,
-    }
-}
-
-fn write_loop(
-    stream: FaultStream,
-    rx: Receiver<Outbound>,
-    obs: Arc<Obs>,
-    version: u8,
-    credit: Arc<StreamCredit>,
-) {
-    let reply_ns = obs.registry().histogram(
-        "castor_rpc_reply_encode_ns",
-        "Nanoseconds spent encoding and writing one response frame.",
-    );
-    let mut writer = BufWriter::new(stream);
-    while let Ok(outbound) = rx.recv() {
-        let (request_id, trace, response) = match outbound {
-            Outbound::Ready(id, response) => (id, id, response),
-            Outbound::Lazy(id, produce) => (id, id, produce()),
-            Outbound::Job(id, handle) => {
-                let trace = handle.trace_id();
-                let response = match handle.join() {
-                    Ok(JobResult::Covered(sets)) if version >= PROTOCOL_V2 => {
-                        // v2 streams covered sets as flow-controlled
-                        // chunks; the last chunk completes the request
-                        // (no separate Covered frame follows).
-                        let start_ns = obs.now_ns();
-                        let timer = obs.timer();
-                        if !write_covered_chunks(&mut writer, version, id, sets, &credit) {
-                            return;
-                        }
-                        if timer.is_live() {
-                            let dur_ns = timer.stop_ns(&reply_ns);
-                            obs.span_measured(
-                                "rpc.server.reply",
-                                trace,
-                                start_ns,
-                                dur_ns,
-                                Vec::new(),
-                            );
-                        }
-                        continue;
-                    }
-                    Ok(JobResult::Covered(sets)) => Response::Covered(sets),
-                    Ok(JobResult::Scores(counts)) => Response::Scores(counts),
-                    Ok(JobResult::Learned(definition)) => Response::Learned(definition),
-                    Ok(JobResult::Mutated(summary)) => Response::Mutated(summary),
-                    Err(error) => Response::from_job_error(error),
-                };
-                (id, trace, response)
-            }
-            Outbound::LearnStream(id, handle, progress_rx) => {
-                // Drain the progress stream first: the runner drops the
-                // sending side before completing the handle, so this loop
-                // always ends, and the join below then returns at once.
-                for (seq, progress) in (0_u64..).zip(progress_rx.iter()) {
-                    if !credit.consume() {
-                        return;
-                    }
-                    let frame = Response::Stream {
-                        seq,
-                        last: false,
-                        body: StreamBody::Progress(progress),
-                    };
-                    if write_response_v(&mut writer, version, id, &frame).is_err() {
-                        return;
-                    }
-                }
-                let trace = handle.trace_id();
-                let response = match handle.join() {
-                    Ok(JobResult::Learned(definition)) => Response::Learned(definition),
-                    Ok(_) => Response::Error {
-                        code: ErrorCode::Panicked,
-                        limit: 0,
-                        message: "learn job returned a non-learn result".to_string(),
-                        retry_after_ms: 0,
-                    },
-                    Err(error) => Response::from_job_error(error),
-                };
-                (id, trace, response)
-            }
-        };
-        let start_ns = obs.now_ns();
-        let timer = obs.timer();
-        if write_response_v(&mut writer, version, request_id, &response).is_err() {
-            return;
-        }
-        if timer.is_live() {
-            let dur_ns = timer.stop_ns(&reply_ns);
-            obs.span_measured("rpc.server.reply", trace, start_ns, dur_ns, Vec::new());
-        }
-    }
-}
-
-/// Streams one coverage result as `CoveredChunk` frames, each consuming
-/// one flow-control credit. An empty result still sends one (empty)
-/// final chunk so the request completes. Returns `false` when the
-/// connection is done (credit closed or socket gone).
-fn write_covered_chunks(
-    writer: &mut impl std::io::Write,
-    version: u8,
-    request_id: u64,
-    sets: Vec<std::collections::HashSet<castor_relational::Tuple>>,
-    credit: &StreamCredit,
-) -> bool {
-    let chunks: Vec<Vec<std::collections::HashSet<castor_relational::Tuple>>> = if sets.is_empty() {
-        vec![Vec::new()]
-    } else {
-        sets.chunks(COVERED_CHUNK_SETS)
-            .map(|chunk| chunk.to_vec())
-            .collect()
-    };
-    let total = chunks.len();
-    for (seq, chunk) in chunks.into_iter().enumerate() {
-        if !credit.consume() {
-            return false;
-        }
-        let frame = Response::Stream {
-            seq: seq as u64,
-            last: seq + 1 == total,
-            body: StreamBody::CoveredChunk(chunk),
-        };
-        if write_response_v(writer, version, request_id, &frame).is_err() {
-            return false;
-        }
-    }
-    true
 }

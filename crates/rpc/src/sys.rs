@@ -9,13 +9,7 @@
 //! are owned by `OwnedFd`/`File`, so closing is never hand-written.
 //!
 //! The module is Linux-only (`x86_64` and `aarch64`); on other targets
-//! the RPC server falls back to the threaded core and this module is not
-//! compiled at all.
-
-#![cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+//! it is not compiled, and neither is the server that stands on it.
 
 use std::fs::File;
 use std::io::{self, Read, Write};

@@ -200,7 +200,7 @@ pub(crate) struct QueuedJob {
     /// watchdog for the duration of the run.
     pub(crate) deadline: Option<Deadline>,
     /// Learn-progress sink installed on the engine for the duration of the
-    /// run (the RPC layer streams accepted covering-round clauses to v2
+    /// run (the RPC layer streams accepted covering-round clauses to
     /// clients through it). Ignored by non-learn jobs.
     pub(crate) progress: Option<ProgressSink>,
 }

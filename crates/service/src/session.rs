@@ -127,7 +127,7 @@ impl Session {
 
     /// [`Session::submit_traced`] with a learn-progress sink installed on
     /// the engine for the duration of the job: covering loops report each
-    /// accepted clause through it (the v2 wire front end streams these to
+    /// accepted clause through it (the wire front end streams these to
     /// the client as incremental progress frames). The sink runs on the
     /// database's runner thread, so it must never block on the consumer.
     pub fn submit_traced_with_progress(

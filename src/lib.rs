@@ -23,14 +23,11 @@
 //!   engines over mutating databases behind a `Server → Session → Job` API.
 //! * [`rpc`] — the network front end over `service`: a dependency-free
 //!   std-TCP wire protocol (`RpcServer`/`RpcClient`) with admission
-//!   control, typed error frames, and a negotiated v2 streaming mode.
-//! * [`cluster`] — the sharded multi-server tier: a client-side router
-//!   placing databases on members by consistent hashing, with live
-//!   rebalancing on membership changes.
+//!   control, typed error frames, and flow-controlled streaming of
+//!   learn progress and covered sets.
 //! * `bench` ([`castor_bench`]) — table/figure reproduction harnesses.
 
 pub use castor_bench as bench;
-pub use castor_cluster as cluster;
 pub use castor_core as core;
 pub use castor_datasets as datasets;
 pub use castor_engine as engine;

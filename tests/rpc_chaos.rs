@@ -16,7 +16,7 @@
 
 use castor::logic::{Atom, Clause};
 use castor::relational::{DatabaseInstance, RelationSymbol, Schema, Tuple};
-use castor::rpc::{ClientConfig, FaultPlan, RpcClient, RpcConfig, RpcServer, ServerCore};
+use castor::rpc::{ClientConfig, FaultPlan, RpcClient, RpcConfig, RpcServer};
 use castor::service::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,17 +56,14 @@ fn wait_until(condition: impl Fn() -> bool, what: &str) {
     }
 }
 
-/// One seeded chaos round against the given connection core. Returns
-/// how many faults actually fired.
-fn chaos_round(seed: u64, core: ServerCore) -> u64 {
+/// One seeded chaos round. Returns how many faults actually fired.
+fn chaos_round(seed: u64) -> u64 {
     let service = Arc::new(Server::new(ServerConfig::default()));
     service.register("demo", Arc::new(demo_db())).unwrap();
     let rpc = RpcServer::bind(
         Arc::clone(&service),
         "127.0.0.1:0",
-        RpcConfig::default()
-            .with_fault_plan(FaultPlan::seeded(seed))
-            .with_core(core),
+        RpcConfig::default().with_fault_plan(FaultPlan::seeded(seed)),
     )
     .unwrap();
 
@@ -137,13 +134,14 @@ fn chaos_round(seed: u64, core: ServerCore) -> u64 {
     rpc.fault_stats().total()
 }
 
-/// Runs the full seeded sweep against one core; the failing seed (and
-/// core) is printed so the exact schedule replays locally.
-fn seeded_sweep(core: ServerCore) {
+/// 200+ seeded fault schedules across every fault kind; the failing seed
+/// is printed so the exact schedule replays locally.
+#[test]
+fn seeded_fault_schedules_never_hang_leak_or_corrupt() {
     const SEEDS: u64 = 200;
     let mut injected = 0u64;
     for seed in 0..SEEDS {
-        match std::panic::catch_unwind(|| chaos_round(seed, core)) {
+        match std::panic::catch_unwind(|| chaos_round(seed)) {
             Ok(fired) => injected += fired,
             Err(payload) => {
                 let msg = payload
@@ -151,7 +149,7 @@ fn seeded_sweep(core: ServerCore) {
                     .map(String::as_str)
                     .or_else(|| payload.downcast_ref::<&str>().copied())
                     .unwrap_or("non-string panic payload");
-                panic!("chaos round failed under seed {seed} ({core:?} core): {msg}");
+                panic!("chaos round failed under seed {seed}: {msg}");
             }
         }
     }
@@ -164,44 +162,15 @@ fn seeded_sweep(core: ServerCore) {
     );
 }
 
-/// 200+ seeded fault schedules across every fault kind, on the
-/// event-loop core (the default).
-#[test]
-fn seeded_fault_schedules_never_hang_leak_or_corrupt() {
-    seeded_sweep(ServerCore::EventLoop);
-}
-
-/// The same sweep against the threaded core: both transports must absorb
-/// the identical byte-exact schedules.
-#[test]
-fn seeded_fault_schedules_hold_on_the_threaded_core() {
-    seeded_sweep(ServerCore::Threaded);
-}
-
 /// Satellite: admission accounting under reconnect churn. Clients
 /// connect, submit work, and vanish mid-job over and over; afterwards
 /// `sessions_active` is exactly zero and a full complement of new
 /// sessions is admitted — no slot leaked, no wrongful `SessionLimit`.
 #[test]
 fn reconnect_churn_reclaims_every_admission_slot() {
-    churn_round(ServerCore::EventLoop);
-}
-
-/// The same churn against the threaded core.
-#[test]
-fn reconnect_churn_reclaims_every_admission_slot_threaded() {
-    churn_round(ServerCore::Threaded);
-}
-
-fn churn_round(core: ServerCore) {
     let service = Arc::new(Server::new(ServerConfig::default().with_max_sessions(4)));
     service.register("demo", Arc::new(demo_db())).unwrap();
-    let rpc = RpcServer::bind(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        RpcConfig::default().with_core(core),
-    )
-    .unwrap();
+    let rpc = RpcServer::bind(Arc::clone(&service), "127.0.0.1:0", RpcConfig::default()).unwrap();
     let addr = rpc.local_addr();
 
     let churners: Vec<_> = (0..4)

@@ -10,8 +10,8 @@
 //! additionally pinned at a looser bound: its response re-materializes
 //! every covered tuple on the client (encode + decode + re-hash), so
 //! its wire cost is payload-bound by construction — the bound catches
-//! gross regressions, not loop latency. The `bench_rpc` runner writes
-//! the same pair of ratios to `BENCH_rpc.json` for tracking.
+//! gross regressions, not loop latency. The `learnbench` runner reports
+//! the serving workload's transport cost as `rpc.overhead_ms`.
 //!
 //! Release-only: a debug build's evaluation cost (and timing noise)
 //! drowns the transport share and makes the ratio meaningless.

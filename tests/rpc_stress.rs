@@ -13,7 +13,7 @@
 
 use castor::logic::{covers_example, Atom, Clause};
 use castor::relational::{DatabaseInstance, MutationBatch, RelationSymbol, Schema, Tuple};
-use castor::rpc::{RpcClient, RpcConfig, RpcServer, ServerCore};
+use castor::rpc::{RpcClient, RpcConfig, RpcServer};
 use castor::service::{Server, ServerConfig};
 use castor_engine::EngineReport;
 use std::collections::HashSet;
@@ -47,17 +47,6 @@ fn collab_clause(i: usize) -> Clause {
 
 #[test]
 fn concurrent_tcp_clients_stay_deterministic_and_counters_sum() {
-    stress_round(ServerCore::EventLoop);
-}
-
-/// The same storm against the threaded core: both transports must keep
-/// the determinism and accounting invariants.
-#[test]
-fn concurrent_tcp_clients_hold_on_the_threaded_core() {
-    stress_round(ServerCore::Threaded);
-}
-
-fn stress_round(core: ServerCore) {
     let service = Arc::new(Server::new(ServerConfig::default().with_threads(4)));
     service
         .register(
@@ -65,12 +54,7 @@ fn stress_round(core: ServerCore) {
             Arc::new(DatabaseInstance::empty(&stress_schema())),
         )
         .unwrap();
-    let rpc = RpcServer::bind(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        RpcConfig::default().with_core(core),
-    )
-    .unwrap();
+    let rpc = RpcServer::bind(Arc::clone(&service), "127.0.0.1:0", RpcConfig::default()).unwrap();
     let addr = rpc.local_addr();
 
     let workers: Vec<_> = (0..CLIENTS)
