@@ -182,15 +182,14 @@ fn bench_engine_batched_beam_vs_sequential(c: &mut Criterion) {
     });
 }
 
-/// The adaptive-costing acceptance benchmark: one level of beam scoring on
-/// skewed synthetic data where the uniform selectivity estimate mis-orders
-/// the shared join prefix (hub keys hidden behind a high distinct count).
-/// The histogram cost model (plus feedback re-planning, both on by
-/// default) probes the selective literal first; the uniform baseline
-/// enumerates every hub row per negative example. Coverage caches are off
-/// on both sides so the comparison is pure join ordering; expected ≥ 1.3×
-/// (in practice well over 10×). The same workload runs in CI as
-/// `tests/engine_adaptive_costing.rs`.
+/// The cost-model comparison: one level of beam scoring on skewed
+/// synthetic data where the uniform selectivity estimate mis-orders the
+/// shared join prefix (hub keys hidden behind a high distinct count). The
+/// histogram cost model (the default) probes the selective literal first;
+/// the uniform baseline enumerates every hub row per negative example.
+/// Coverage caches are off on both sides, so only the cost models differ;
+/// expected ≥ 1.3× (in practice well over 10×). The same workload runs in
+/// CI as `tests/engine_adaptive_costing.rs`.
 fn bench_engine_adaptive_recosting(c: &mut Criterion) {
     let workload = castor_bench::skewed_costing_workload();
 
@@ -208,10 +207,7 @@ fn bench_engine_adaptive_recosting(c: &mut Criterion) {
 
     let uniform = Engine::from_arc(
         std::sync::Arc::clone(&workload.db),
-        EngineConfig::default()
-            .with_uniform_costs()
-            .without_feedback_replanning()
-            .without_cache(),
+        EngineConfig::default().with_uniform_costs().without_cache(),
     );
     c.bench_function("engine_adaptive_recosting/uniform", |b| {
         b.iter(|| {

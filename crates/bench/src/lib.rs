@@ -116,7 +116,8 @@ pub fn beam_candidate_batch(
 /// first (2 < 10) and enumerates every hub row per negative example; the
 /// histogram model's frequency-weighted estimate (~hundreds vs 10) flips
 /// the order. The beam appends one `sel_k(y)` literal per sibling, so the
-/// mis-ordered join sits in the *shared* trie prefix.
+/// mis-ordered join sits in the *shared* trie prefix. The workload compares
+/// cost models only: both sides run the same engine otherwise.
 pub struct SkewedCostingWorkload {
     /// The skewed database.
     pub db: std::sync::Arc<DatabaseInstance>,

@@ -425,39 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn known_covered_examples_are_skipped() {
-        let engine = engine(1);
-        let clause = collaborated();
-        let before = engine.tests_performed();
-        let known: HashSet<Tuple> = [Tuple::from_strs(&["ann", "bob"])].into_iter().collect();
-        let covered = engine.covered_set(
-            &clause,
-            &[Tuple::from_strs(&["ann", "bob"])],
-            Prior::Known(&known),
-        );
-        assert_eq!(covered.len(), 1);
-        assert_eq!(engine.tests_performed(), before); // no new test ran
-        assert_eq!(engine.report().generality_skips, 1);
-    }
-
-    #[test]
-    fn known_prior_does_not_poison_the_cache() {
-        let engine = engine(1);
-        let clause = collaborated();
-        // The caller (wrongly) claims a negative example is covered.
-        let bogus: HashSet<Tuple> = [Tuple::from_strs(&["ann", "carol"])].into_iter().collect();
-        let claimed = engine.covered_set(
-            &clause,
-            &[Tuple::from_strs(&["ann", "carol"])],
-            Prior::Known(&bogus),
-        );
-        assert_eq!(claimed.len(), 1); // the per-call result honors the claim
-                                      // ...but the memo cache does not: a fresh query re-tests and gets
-                                      // the true answer.
-        assert!(!engine.covers(&clause, &Tuple::from_strs(&["ann", "carol"])));
-    }
-
-    #[test]
     fn generalizations_inherit_parent_coverage_from_cache() {
         let engine = engine(1);
         let parent = collaborated();

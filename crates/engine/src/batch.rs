@@ -19,8 +19,7 @@
 //! disjoint root subtrees — the trie generalizes gracefully to mixed-parent
 //! beams.
 
-use crate::cost::{bound_positions, CostModel, CostModelKind};
-use crate::plan::PlanFeedback;
+use crate::cost::{CostModel, CostModelKind};
 use crate::stats::DatabaseStatistics;
 use castor_logic::evaluation::{bind_head, unify_with_tuple};
 use castor_logic::{Atom, Clause, CoverageOutcome, EvalBudget, Substitution, Term};
@@ -59,10 +58,6 @@ pub struct BatchPlan {
     pub roots: Vec<usize>,
     /// Candidate slots with empty bodies: covered iff the head binds.
     pub root_accepting: Vec<usize>,
-    /// `(relation, epoch)` stamps for every body relation known to the
-    /// statistics the trie was costed against — same staleness contract as
-    /// [`crate::ClausePlan::epochs`].
-    pub epochs: Vec<(String, u64)>,
 }
 
 impl BatchPlan {
@@ -91,10 +86,6 @@ impl BatchPlan {
             nodes: Vec::new(),
             roots: Vec::new(),
             root_accepting: Vec::new(),
-            epochs: crate::ClausePlan::stamp_epochs(
-                bodies.iter().flat_map(|(_, body)| body.iter()),
-                stats,
-            ),
         };
         let head_vars: BTreeSet<String> = head
             .terms
@@ -201,7 +192,7 @@ impl BatchPlan {
             // set — the same schedule `ClausePlan` computes per clause.
             let atoms: Vec<Atom> = chain.iter().map(|&i| self.nodes[i].atom.clone()).collect();
             let atom_refs: Vec<&Atom> = atoms.iter().collect();
-            let ordered = crate::cost::greedy_order(&atom_refs, &mut bound, |_, atom, borrowed| {
+            let ordered = crate::cost::greedy_order(&atom_refs, &mut bound, |atom, borrowed| {
                 model.estimate_atom(atom, borrowed, stats)
             });
             // Rewrite the chain nodes in the new order; the link structure
@@ -280,14 +271,6 @@ impl BatchPlan {
         self.nodes.len()
     }
 
-    /// Whether the trie's costing is still current against `stats` (see
-    /// [`crate::ClausePlan::is_current`]).
-    pub fn is_current(&self, stats: &DatabaseStatistics) -> bool {
-        self.epochs
-            .iter()
-            .all(|(name, epoch)| stats.epoch_of(name) == Some(*epoch))
-    }
-
     /// Every candidate slot in the plan (root-accepting included).
     pub fn slots(&self) -> Vec<usize> {
         let mut out: Vec<usize> = self.root_accepting.clone();
@@ -339,9 +322,6 @@ struct BatchSearch<'a> {
     outcomes: Vec<Option<CoverageOutcome>>,
     budgets: Vec<EvalBudget>,
     stats: BatchItemStats,
-    /// Per-trie-node observed candidate rows, recorded for the engine's
-    /// feedback recosting of cached tries (step index = trie node index).
-    feedback: Option<&'a PlanFeedback>,
 }
 
 /// Evaluates one root subtree of `plan` against one example: every live
@@ -349,10 +329,7 @@ struct BatchSearch<'a> {
 /// slot space) select which candidates this item must decide; slots outside
 /// the subtree are ignored. `budget` is a per-candidate budget *template*
 /// (cloned per slot), so a cancellation token installed on it aborts every
-/// candidate of the item. With `feedback`, the item records one execution
-/// plus per-trie-node observed candidate rows (step index = node index) —
-/// the observations the engine's trie recosting compares against the
-/// nodes' estimates. Returns `(slot, outcome)` pairs plus the item's
+/// candidate of the item. Returns `(slot, outcome)` pairs plus the item's
 /// counters.
 pub fn evaluate_subtree(
     plan: &BatchPlan,
@@ -361,7 +338,6 @@ pub fn evaluate_subtree(
     example: &Tuple,
     live: &[bool],
     budget: &EvalBudget,
-    feedback: Option<&PlanFeedback>,
 ) -> (Vec<(usize, CoverageOutcome)>, BatchItemStats) {
     let subtree = &plan.node(root).subtree;
     let wanted: Vec<usize> = subtree.iter().copied().filter(|&s| live[s]).collect();
@@ -383,9 +359,6 @@ pub fn evaluate_subtree(
             stats,
         );
     };
-    if let Some(feedback) = feedback {
-        feedback.record_execution();
-    }
     let slot_space = live.len();
     let mut search = BatchSearch {
         plan,
@@ -402,7 +375,6 @@ pub fn evaluate_subtree(
         outcomes: vec![None; slot_space],
         budgets: (0..slot_space).map(|_| budget.clone()).collect(),
         stats: BatchItemStats::default(),
-        feedback,
     };
     search.explore(root);
     stats.absorb(&search.stats);
@@ -460,9 +432,6 @@ impl BatchSearch<'_> {
                 .collect();
             instance.select_on_positions(&node.bound_positions, &key)
         };
-        if let Some(feedback) = self.feedback {
-            feedback.record_step(node_idx, candidates.len());
-        }
         if live_here.len() > 1 {
             // One probe fed `live_here.len()` candidates.
             self.stats.prefix_hits += live_here.len() - 1;
@@ -509,78 +478,6 @@ impl BatchSearch<'_> {
                 self.theta.unbind(&name);
             }
         }
-    }
-}
-
-/// Observed-row overrides for recompiling one cached trie, fed back from
-/// batch execution: (atom, access path) → average candidate rows actually
-/// produced at the trie node that probed it. Like
-/// [`crate::cost::CostOverrides`] an observation only transfers while the
-/// candidate access path matches the one it was made under; unlike clause
-/// plans, trie nodes have no stable literal index, so entries are keyed by
-/// the atom itself (tries are small — lookups scan linearly, and the whole
-/// structure only exists for the rare recompile).
-#[derive(Debug, Default)]
-pub struct TrieCostOverrides {
-    observed: Vec<(Atom, Vec<usize>, f64)>,
-}
-
-impl TrieCostOverrides {
-    /// Collects the observed per-invocation averages of `feedback` keyed to
-    /// `plan`'s node atoms and access paths (nodes that never ran are
-    /// skipped).
-    pub fn from_feedback(plan: &BatchPlan, feedback: &PlanFeedback) -> Self {
-        let mut overrides = TrieCostOverrides::default();
-        for (node_idx, observed) in feedback.observed_rows().into_iter().enumerate() {
-            if let (Some(rows), Some(node)) = (observed, plan.nodes.get(node_idx)) {
-                overrides
-                    .observed
-                    .push((node.atom.clone(), node.bound_positions.clone(), rows));
-            }
-        }
-        overrides
-    }
-
-    /// The observed rows for `atom` under the access path `positions`, if
-    /// recorded.
-    pub fn lookup(&self, atom: &Atom, positions: &[usize]) -> Option<f64> {
-        self.observed
-            .iter()
-            .find(|(a, p, _)| a == atom && p == positions)
-            .map(|&(_, _, rows)| rows)
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.observed.is_empty()
-    }
-}
-
-/// A [`CostModel`] wrapper consulted during trie recompilation: an observed
-/// row count beats the inner model's estimate whenever the candidate access
-/// path matches the observation's.
-#[derive(Debug)]
-pub struct ObservedTrieCost<'a> {
-    /// The model answering atoms with no matching observation.
-    pub inner: &'a dyn CostModel,
-    /// The recorded observations.
-    pub overrides: &'a TrieCostOverrides,
-}
-
-impl CostModel for ObservedTrieCost<'_> {
-    fn estimate_atom(
-        &self,
-        atom: &Atom,
-        bound: &BTreeSet<&str>,
-        stats: &DatabaseStatistics,
-    ) -> f64 {
-        self.overrides
-            .lookup(atom, &bound_positions(atom, bound))
-            .unwrap_or_else(|| self.inner.estimate_atom(atom, bound, stats))
-    }
-
-    fn name(&self) -> &'static str {
-        "observed"
     }
 }
 
@@ -669,7 +566,6 @@ mod tests {
                 &example,
                 &live,
                 &EvalBudget::new(10_000),
-                None,
             );
             assert_eq!(outcomes.len(), clauses.len());
             assert_eq!(stats.tests, clauses.len());
@@ -696,7 +592,6 @@ mod tests {
             &Tuple::from_strs(&["ann", "bob"]),
             &live,
             &EvalBudget::new(10_000),
-            None,
         );
         assert!(stats.prefix_hits > 0, "no shared probes counted: {stats:?}");
         assert!(stats.suffix_forks > 0, "no suffix forks counted: {stats:?}");
@@ -715,7 +610,6 @@ mod tests {
             &Tuple::from_strs(&["ann", "bob"]),
             &live,
             &EvalBudget::new(0),
-            None,
         );
         assert!(outcomes.iter().all(|(_, o)| o.is_exhausted()));
         assert_eq!(stats.budget_exhausted, 3);
@@ -734,27 +628,9 @@ mod tests {
             &Tuple::from_strs(&["ann", "bob"]),
             &live,
             &EvalBudget::new(10_000),
-            None,
         );
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].0, 1);
-    }
-
-    #[test]
-    fn trie_epoch_stamps_detect_mutated_relations() {
-        // BatchPlans are compiled per call today, but the epoch stamps are
-        // the invalidation contract a future cross-round trie cache (see
-        // ROADMAP) relies on — pin their semantics now.
-        let mut db = db();
-        let (head, bodies) = siblings();
-        let plan = plan_of(&head, &bodies, &db);
-        let names: Vec<&str> = plan.epochs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["professor", "publication", "student"]);
-        let mut stats = DatabaseStatistics::gather(&db);
-        assert!(plan.is_current(&stats));
-        db.insert("professor", Tuple::from_strs(&["dan"])).unwrap();
-        stats.refresh(&db);
-        assert!(!plan.is_current(&stats));
     }
 
     #[test]
@@ -847,7 +723,6 @@ mod tests {
                     &example,
                     &live,
                     &EvalBudget::new(100_000),
-                    None,
                 );
                 for (slot, outcome) in outcomes {
                     assert_eq!(
@@ -858,55 +733,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_execution_records_per_node_observed_rows() {
-        let db = db();
-        let (head, bodies) = siblings();
-        let plan = plan_of(&head, &bodies, &db);
-        let live = vec![true; 3];
-        let feedback = PlanFeedback::new(plan.node_count());
-        for example in [
-            Tuple::from_strs(&["ann", "bob"]),
-            Tuple::from_strs(&["carol", "dan"]),
-        ] {
-            evaluate_subtree(
-                &plan,
-                plan.roots[0],
-                &db,
-                &example,
-                &live,
-                &EvalBudget::new(10_000),
-                Some(&feedback),
-            );
-        }
-        // One execution per (subtree, example) item with a bindable head.
-        assert_eq!(feedback.executions(), 2);
-        let observed = feedback.observed_rows();
-        // The root probe ran for both examples and produced candidate rows.
-        assert!(observed[plan.roots[0]].is_some());
-        // The overrides key observations by (atom, access path) and feed a
-        // wrapped model during recompilation.
-        let overrides = TrieCostOverrides::from_feedback(&plan, &feedback);
-        assert!(!overrides.is_empty());
-        let root = plan.node(plan.roots[0]);
-        assert_eq!(
-            overrides.lookup(&root.atom, &root.bound_positions),
-            observed[plan.roots[0]]
-        );
-        // A head that cannot bind records nothing.
-        let before = feedback.executions();
-        evaluate_subtree(
-            &plan,
-            plan.roots[0],
-            &db,
-            &Tuple::from_strs(&["ann"]),
-            &live,
-            &EvalBudget::new(10_000),
-            Some(&feedback),
-        );
-        assert_eq!(feedback.executions(), before);
     }
 
     #[test]

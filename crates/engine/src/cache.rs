@@ -33,22 +33,9 @@
 //! workload that permanently grows its budget would otherwise leave dead
 //! `ExhaustedAt` entries behind until whole-clause LRU eviction; any
 //! successful serve or write-back refresh resets the strike count.
-//!
-//! This module also hosts the [`BatchPlanCache`]: compiled [`BatchPlan`]
-//! tries keyed by canonical (head, body-set), re-validated against the
-//! statistics' `(relation, epoch)` stamps on every fetch — consecutive beam
-//! rounds re-score near-identical sibling groups, and this cache lets them
-//! reuse the trie instead of recompiling it per call. Each cached trie
-//! carries its own [`TrieExhaustions`] tier: trie-produced exhaustions are
-//! not node-comparable with per-clause-plan ones (shared-prefix probes are
-//! charged to every live candidate), so they are memoized *per trie* —
-//! keyed by (canonical body-set, budget) through the owning entry — under
-//! the same budget-narrowing and strike-eviction rules as the clause tier.
 
-use crate::batch::BatchPlan;
 use crate::fx::FxHashMap;
-use crate::stats::DatabaseStatistics;
-use castor_logic::{Atom, Clause, CoverageOutcome, Term};
+use castor_logic::{Clause, CoverageOutcome, Term};
 use castor_relational::Tuple;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -566,55 +553,6 @@ impl CoverageCache {
         (covered, cross_hits)
     }
 
-    /// Drops the cached *exhaustion* entries of one clause, keeping its
-    /// definite verdicts, and returns how many were dropped. An exhaustion
-    /// is budget-monotone only under a fixed plan; when the engine recosts
-    /// a clause's plan (feedback re-planning), exhaustions observed under
-    /// the discarded order may be beatable by the new one, so they must be
-    /// re-evaluated rather than served forever.
-    pub fn drop_exhausted(&self, canonical: &Clause) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(slot) = inner.slots.get_mut(canonical) else {
-            return 0;
-        };
-        let before = slot.outcomes.len();
-        slot.outcomes
-            .retain(|_, stored| !matches!(stored.verdict, CachedVerdict::ExhaustedAt { .. }));
-        let dropped = before - slot.outcomes.len();
-        if slot.outcomes.is_empty() {
-            let stamp = slot.stamp;
-            inner.slots.remove(canonical);
-            inner.recency.remove(&stamp);
-        }
-        dropped
-    }
-
-    /// Drops every cached exhaustion entry across all clauses, returning
-    /// how many were dropped — the companion of [`drop_exhausted`] for the
-    /// rare plan-table capacity clear, which reverts every recosted join
-    /// order at once.
-    ///
-    /// [`drop_exhausted`]: CoverageCache::drop_exhausted
-    pub fn drop_all_exhausted(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut dropped = 0usize;
-        let mut emptied: Vec<(Arc<Clause>, u64)> = Vec::new();
-        for (key, slot) in inner.slots.iter_mut() {
-            let before = slot.outcomes.len();
-            slot.outcomes
-                .retain(|_, stored| !matches!(stored.verdict, CachedVerdict::ExhaustedAt { .. }));
-            dropped += before - slot.outcomes.len();
-            if slot.outcomes.is_empty() {
-                emptied.push((Arc::clone(key), slot.stamp));
-            }
-        }
-        for (key, stamp) in emptied {
-            inner.slots.remove(key.as_ref());
-            inner.recency.remove(&stamp);
-        }
-        dropped
-    }
-
     /// Drops every cached clause that references one of `relations` (in its
     /// head or body), returning how many clauses were dropped. This is the
     /// mutation-invalidation hook: after a batch changes a relation's
@@ -670,291 +608,6 @@ impl CoverageCache {
 impl Default for CoverageCache {
     fn default() -> Self {
         CoverageCache::new(16_384)
-    }
-}
-
-/// Sorts a sibling group into the canonical body order shared with the
-/// trie cache: the cached plan's *local* candidate slots are indices into
-/// the sorted body list, so consecutive beam rounds that re-score the same
-/// group (whatever order they submit it in) collide on purpose. Returns,
-/// per local slot, the caller identity that body arrived under, plus the
-/// sorted body slices.
-pub fn canonical_group<'a, T: Copy>(group: &[(T, &'a [Atom])]) -> (Vec<T>, Vec<&'a [Atom]>) {
-    let mut entries: Vec<(T, &[Atom])> = group.to_vec();
-    entries.sort_by(|a, b| a.1.cmp(b.1));
-    let slot_map: Vec<T> = entries.iter().map(|&(tag, _)| tag).collect();
-    let bodies: Vec<&[Atom]> = entries.iter().map(|&(_, b)| b).collect();
-    (slot_map, bodies)
-}
-
-/// The trie-specific exhaustion tier of one cached [`BatchPlan`]: budget-
-/// keyed `Exhausted` verdicts produced by *trie* execution. Trie budget
-/// accounting charges shared-prefix probes to every live candidate, so
-/// these exhaustions are only comparable with re-runs of the same trie —
-/// they live on the cache entry for one canonical (head, body-set) instead
-/// of in the per-clause coverage cache, and the entry's lifecycle is the
-/// invalidation rule: epoch staleness and recost replacement drop the tier
-/// together with the trie the verdicts were observed under.
-///
-/// Verdicts are keyed by (local candidate slot, example) — local slots are
-/// indices into the canonical sorted body order, stable across rounds by
-/// construction — and follow the clause tier's rules exactly: serve to
-/// probes with an equal-or-smaller budget, strike on larger probes, evict
-/// after [`EXHAUSTION_STRIKE_LIMIT`] consecutive strikes, and let definite
-/// verdicts erase the exhaustion on write-back.
-/// Per-slot verdict map: example → (budget observed under, strikes).
-type SlotVerdicts = FxHashMap<Tuple, (usize, u8)>;
-
-#[derive(Debug, Default)]
-pub struct TrieExhaustions {
-    /// local slot → example → (budget observed under, consecutive strikes).
-    inner: Mutex<FxHashMap<usize, SlotVerdicts>>,
-    /// Strike evictions, shared with the owning [`BatchPlanCache`].
-    evicted: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl TrieExhaustions {
-    fn new(evicted: Arc<std::sync::atomic::AtomicUsize>) -> Self {
-        TrieExhaustions {
-            inner: Mutex::new(FxHashMap::default()),
-            evicted,
-        }
-    }
-
-    /// Serves a cached exhaustion for `(local, example)` under the probe's
-    /// exhaustion `scope`. Returns true when the probe may take
-    /// [`CoverageOutcome::Exhausted`] without running the trie. Mirrors the
-    /// clause tier: an equal-or-smaller probe budget serves (and resets the
-    /// strike count), a larger probe strikes (evicting at the limit), and a
-    /// `None` scope neither serves nor strikes.
-    pub fn probe(&self, local: usize, example: &Tuple, scope: Option<usize>) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(slot) = inner.get_mut(&local) else {
-            return false;
-        };
-        let Some((budget, strikes)) = slot.get_mut(example) else {
-            return false;
-        };
-        match scope {
-            Some(probe) if probe <= *budget => {
-                *strikes = 0;
-                true
-            }
-            Some(_) => {
-                *strikes += 1;
-                if *strikes >= EXHAUSTION_STRIKE_LIMIT {
-                    slot.remove(example);
-                    self.evicted
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                false
-            }
-            None => false,
-        }
-    }
-
-    /// Absorbs one trie-produced outcome: exhaustions are memoized under
-    /// `budget` (merging keeps the larger budget and resets strikes, like
-    /// the clause tier), definite verdicts erase any cached exhaustion for
-    /// the pair — the pair is decidable, so serving the stale exhaustion
-    /// after the definite verdict ages out of the coverage cache would be
-    /// a permanent wrong answer.
-    pub fn absorb(&self, local: usize, example: &Tuple, outcome: CoverageOutcome, budget: usize) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if outcome.is_exhausted() {
-            let slot = inner.entry(local).or_default();
-            match slot.entry(example.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (cached, strikes) = e.get_mut();
-                    *cached = (*cached).max(budget);
-                    *strikes = 0;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((budget, 0));
-                }
-            }
-        } else if let Some(slot) = inner.get_mut(&local) {
-            slot.remove(example);
-        }
-    }
-
-    /// Number of memoized exhaustion pairs.
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.values().map(FxHashMap::len).sum()
-    }
-
-    /// Whether the tier holds no exhaustions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Result of one [`BatchPlanCache::fetch`].
-#[derive(Debug)]
-pub enum BatchFetch {
-    /// A current cached trie (epoch stamps verified against the live
-    /// statistics), together with the execution feedback recorded for it —
-    /// the engine compares the feedback against the trie's node estimates
-    /// and recosts the trie when they diverge, exactly like `ClausePlan`s —
-    /// and the trie's exhaustion tier.
-    Hit(
-        Arc<BatchPlan>,
-        Arc<crate::plan::PlanFeedback>,
-        Arc<TrieExhaustions>,
-    ),
-    /// A cached trie existed but a relation it was costed against mutated;
-    /// the entry has been dropped and must be recompiled.
-    Stale,
-    /// Nothing cached under this key.
-    Miss,
-}
-
-/// One cached trie: the sorted canonical bodies it was compiled for (its
-/// local slot space), the compiled plan, the execution feedback shared by
-/// every batch item that runs it (step index = trie node index), and the
-/// budget-keyed exhaustions observed while running it.
-#[derive(Debug)]
-struct BatchEntry {
-    bodies: Vec<Vec<Atom>>,
-    plan: Arc<BatchPlan>,
-    feedback: Arc<crate::plan::PlanFeedback>,
-    exhaustions: Arc<TrieExhaustions>,
-}
-
-/// Whether an entry's owned bodies equal a probe's borrowed body slices.
-fn bodies_match(owned: &[Vec<Atom>], probe: &[&[Atom]]) -> bool {
-    owned.len() == probe.len() && owned.iter().zip(probe).all(|(a, &b)| a.as_slice() == b)
-}
-
-/// Cross-round cache of compiled [`BatchPlan`] tries keyed by canonical
-/// (head, sorted body-set). Lookups take *borrowed* body slices — the hot
-/// path (consecutive beam rounds hitting the cache) never clones an atom;
-/// owned keys are built only when a freshly compiled trie is stored.
-/// Entries carry the same `(relation, epoch)` stamps as `ClausePlan`s and
-/// are re-validated on every fetch, so a mutation of any relation a trie
-/// reads invalidates it lazily — stale-trie reuse is impossible by
-/// construction. Bounded by clearing at capacity, like the per-clause plan
-/// table.
-#[derive(Debug)]
-pub struct BatchPlanCache {
-    /// Head → tries compiled for sibling groups under that head.
-    inner: Mutex<FxHashMap<Atom, Vec<BatchEntry>>>,
-    /// Total tries across all heads (maintained alongside `inner`).
-    len: std::sync::atomic::AtomicUsize,
-    capacity: usize,
-    /// Strike evictions across every entry's exhaustion tier.
-    trie_evicted: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl BatchPlanCache {
-    /// Creates a cache holding at most `capacity` tries.
-    pub fn new(capacity: usize) -> Self {
-        BatchPlanCache {
-            inner: Mutex::new(FxHashMap::default()),
-            len: std::sync::atomic::AtomicUsize::new(0),
-            capacity: capacity.max(1),
-            trie_evicted: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
-        }
-    }
-
-    /// Exhaustion entries dropped from trie tiers by the strike policy
-    /// (folded into [`EngineReport::exhaustions_evicted`]).
-    ///
-    /// [`EngineReport::exhaustions_evicted`]: crate::EngineReport
-    pub fn trie_exhaustions_evicted(&self) -> usize {
-        self.trie_evicted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Looks up the trie compiled for `(head, bodies)` (bodies in the
-    /// canonical sorted order from [`canonical_group`]), re-validating its
-    /// epoch stamps against `stats`. Stale entries are removed on the spot.
-    pub fn fetch(&self, head: &Atom, bodies: &[&[Atom]], stats: &DatabaseStatistics) -> BatchFetch {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(bucket) = inner.get_mut(head) else {
-            return BatchFetch::Miss;
-        };
-        let Some(pos) = bucket
-            .iter()
-            .position(|entry| bodies_match(&entry.bodies, bodies))
-        else {
-            return BatchFetch::Miss;
-        };
-        if bucket[pos].plan.is_current(stats) {
-            return BatchFetch::Hit(
-                Arc::clone(&bucket[pos].plan),
-                Arc::clone(&bucket[pos].feedback),
-                Arc::clone(&bucket[pos].exhaustions),
-            );
-        }
-        bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            inner.remove(head);
-        }
-        self.len.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-        BatchFetch::Stale
-    }
-
-    /// Stores a freshly compiled trie for `(head, bodies)`; this is the
-    /// only place the key is deep-cloned (miss/stale path). Replacing an
-    /// existing entry never evicts; only a genuinely new entry at capacity
-    /// clears the table. Returns the fresh feedback handle created for the
-    /// stored plan plus the entry's (fresh) exhaustion tier — replacing a
-    /// plan resets both: the observations and the exhaustions belonged to
-    /// the discarded node order.
-    pub fn store(
-        &self,
-        head: &Atom,
-        bodies: &[&[Atom]],
-        plan: Arc<BatchPlan>,
-    ) -> (Arc<crate::plan::PlanFeedback>, Arc<TrieExhaustions>) {
-        let feedback = Arc::new(crate::plan::PlanFeedback::new(plan.node_count()));
-        let exhaustions = Arc::new(TrieExhaustions::new(Arc::clone(&self.trie_evicted)));
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(bucket) = inner.get_mut(head) {
-            if let Some(existing) = bucket.iter_mut().find(|e| bodies_match(&e.bodies, bodies)) {
-                existing.plan = plan;
-                existing.feedback = Arc::clone(&feedback);
-                existing.exhaustions = Arc::clone(&exhaustions);
-                return (feedback, exhaustions);
-            }
-        }
-        if self.len.load(std::sync::atomic::Ordering::Relaxed) >= self.capacity {
-            inner.clear();
-            self.len.store(0, std::sync::atomic::Ordering::Relaxed);
-        }
-        inner.entry(head.clone()).or_default().push(BatchEntry {
-            bodies: bodies.iter().map(|&b| b.to_vec()).collect(),
-            plan,
-            feedback: Arc::clone(&feedback),
-            exhaustions: Arc::clone(&exhaustions),
-        });
-        self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (feedback, exhaustions)
-    }
-
-    /// Number of cached tries.
-    pub fn len(&self) -> usize {
-        self.len.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached trie (administrative reset; routine invalidation
-    /// is epoch-driven and lazy).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.clear();
-        self.len.store(0, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-impl Default for BatchPlanCache {
-    fn default() -> Self {
-        BatchPlanCache::new(4_096)
     }
 }
 
@@ -1255,206 +908,6 @@ mod tests {
             Some(CoverageOutcome::Covered)
         );
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn drop_exhausted_keeps_definite_verdicts() {
-        let cache = CoverageCache::default();
-        let key = canonicalize(&clause("x", "y", "p"));
-        let e1 = Tuple::from_strs(&["ann", "bob"]);
-        let e2 = Tuple::from_strs(&["ann", "carol"]);
-        cache.insert(&key, &e1, CoverageOutcome::Exhausted, Some(100));
-        cache.insert(&key, &e2, CoverageOutcome::Covered, Some(100));
-        assert_eq!(cache.drop_exhausted(&key), 1);
-        assert_eq!(cache.get(&key, &e1, Some(50)), None);
-        assert_eq!(
-            cache.get(&key, &e2, Some(50)),
-            Some(CoverageOutcome::Covered)
-        );
-        // A slot that only held exhaustions disappears entirely (recency
-        // entry included: filling to capacity still evicts correctly).
-        let lone = canonicalize(&Clause::new(Atom::vars("lone", &["x"]), vec![]));
-        cache.insert(&lone, &e1, CoverageOutcome::Exhausted, Some(9));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.drop_exhausted(&lone), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.drop_exhausted(&lone), 0);
-    }
-
-    #[test]
-    fn drop_all_exhausted_spares_definite_verdicts_everywhere() {
-        let cache = CoverageCache::default();
-        let e = Tuple::from_strs(&["ann", "bob"]);
-        let a = canonicalize(&clause("x", "y", "p"));
-        let b = canonicalize(&Clause::new(Atom::vars("t", &["x"]), vec![]));
-        cache.insert(&a, &e, CoverageOutcome::Exhausted, Some(10));
-        cache.insert(&b, &e, CoverageOutcome::Covered, Some(10));
-        cache.insert(
-            &b,
-            &Tuple::from_strs(&["x", "y"]),
-            CoverageOutcome::Exhausted,
-            Some(10),
-        );
-        assert_eq!(cache.drop_all_exhausted(), 2);
-        // `a` held only an exhaustion and is gone; `b` keeps its verdict.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&b, &e, Some(5)), Some(CoverageOutcome::Covered));
-        assert_eq!(cache.drop_all_exhausted(), 0);
-    }
-
-    fn trie_fixture() -> (castor_relational::DatabaseInstance, Atom, Vec<Vec<Atom>>) {
-        let mut schema = castor_relational::Schema::new("s");
-        schema
-            .add_relation(castor_relational::RelationSymbol::new("r", &["a", "b"]))
-            .add_relation(castor_relational::RelationSymbol::new("s", &["a"]));
-        let mut db = castor_relational::DatabaseInstance::empty(&schema);
-        db.insert("r", Tuple::from_strs(&["1", "2"])).unwrap();
-        db.insert("s", Tuple::from_strs(&["1"])).unwrap();
-        let head = Atom::vars("t", &["_0"]);
-        let b0 = vec![Atom::vars("r", &["_0", "_1"])];
-        let b1 = vec![Atom::vars("r", &["_0", "_1"]), Atom::vars("s", &["_1"])];
-        (db, head, vec![b0, b1])
-    }
-
-    #[test]
-    fn canonical_group_sorts_bodies_and_maps_slots() {
-        let (_, _head, bodies) = trie_fixture();
-        let forward: Vec<(usize, &[Atom])> = vec![(7, &bodies[0]), (9, &bodies[1])];
-        let reversed: Vec<(usize, &[Atom])> = vec![(9, &bodies[1]), (7, &bodies[0])];
-        let (map_a, sorted_a) = canonical_group(&forward);
-        let (map_b, sorted_b) = canonical_group(&reversed);
-        // Submission order is irrelevant: same body order, same slot map.
-        assert_eq!(sorted_a, sorted_b);
-        assert_eq!(map_a, map_b);
-        // The slot map points each local slot at the caller tag.
-        for (local, &tag) in map_a.iter().enumerate() {
-            let original = if tag == 7 { &bodies[0] } else { &bodies[1] };
-            assert_eq!(sorted_a[local], original.as_slice());
-        }
-    }
-
-    #[test]
-    fn batch_plan_cache_hits_and_epoch_invalidates() {
-        let (mut db, head, bodies) = trie_fixture();
-        let mut stats = DatabaseStatistics::gather(&db);
-        let group: Vec<(usize, &[Atom])> = vec![(0, &bodies[0]), (1, &bodies[1])];
-        let (_, sorted) = canonical_group(&group);
-        let cache = BatchPlanCache::default();
-        assert!(matches!(
-            cache.fetch(&head, &sorted, &stats),
-            BatchFetch::Miss
-        ));
-        let slotted: Vec<(usize, &[Atom])> =
-            sorted.iter().enumerate().map(|(i, &b)| (i, b)).collect();
-        let plan = Arc::new(BatchPlan::compile(&head, &slotted, &stats));
-        cache.store(&head, &sorted, Arc::clone(&plan));
-        assert_eq!(cache.len(), 1);
-        match cache.fetch(&head, &sorted, &stats) {
-            BatchFetch::Hit(hit, feedback, exhaustions) => {
-                assert!(Arc::ptr_eq(&hit, &plan));
-                assert_eq!(feedback.executions(), 0, "fresh plans get fresh feedback");
-                assert!(exhaustions.is_empty(), "fresh plans get a fresh tier");
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // A different body-set under the same head is a distinct entry.
-        let smaller: Vec<(usize, &[Atom])> = vec![(0, &bodies[0])];
-        let (_, small_sorted) = canonical_group(&smaller);
-        assert!(matches!(
-            cache.fetch(&head, &small_sorted, &stats),
-            BatchFetch::Miss
-        ));
-        // Mutating a relation the trie reads stales the entry; the fetch
-        // reports it and drops the entry so the caller recompiles.
-        db.insert("r", Tuple::from_strs(&["2", "3"])).unwrap();
-        stats.refresh(&db);
-        assert!(matches!(
-            cache.fetch(&head, &sorted, &stats),
-            BatchFetch::Stale
-        ));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn batch_plan_cache_clears_at_capacity() {
-        let (db, _head, bodies) = trie_fixture();
-        let stats = DatabaseStatistics::gather(&db);
-        let cache = BatchPlanCache::new(2);
-        for tag in 0..5usize {
-            let alt_head = Atom::vars(format!("t{tag}"), &["_0"]);
-            let group: Vec<(usize, &[Atom])> = vec![(0, &bodies[0]), (1, &bodies[1])];
-            let (_, sorted) = canonical_group(&group);
-            let slotted: Vec<(usize, &[Atom])> =
-                sorted.iter().enumerate().map(|(i, &b)| (i, b)).collect();
-            let plan = Arc::new(BatchPlan::compile(&alt_head, &slotted, &stats));
-            cache.store(&alt_head, &sorted, plan);
-        }
-        assert!(cache.len() <= 2);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn trie_exhaustion_tier_serves_narrows_and_strikes() {
-        let (db, head, bodies) = trie_fixture();
-        let stats = DatabaseStatistics::gather(&db);
-        let group: Vec<(usize, &[Atom])> = vec![(0, &bodies[0]), (1, &bodies[1])];
-        let (_, sorted) = canonical_group(&group);
-        let cache = BatchPlanCache::default();
-        let slotted: Vec<(usize, &[Atom])> =
-            sorted.iter().enumerate().map(|(i, &b)| (i, b)).collect();
-        let plan = Arc::new(BatchPlan::compile(&head, &slotted, &stats));
-        let (_, tier) = cache.store(&head, &sorted, Arc::clone(&plan));
-        let e = Tuple::from_strs(&["1"]);
-        // Nothing cached: no serve under any scope.
-        assert!(!tier.probe(0, &e, Some(100)));
-        tier.absorb(0, &e, CoverageOutcome::Exhausted, 100);
-        // Equal and smaller budgets are served; `None` scope never is.
-        assert!(tier.probe(0, &e, Some(100)));
-        assert!(tier.probe(0, &e, Some(10)));
-        assert!(!tier.probe(0, &e, None));
-        // A different local slot or example is a miss.
-        assert!(!tier.probe(1, &e, Some(10)));
-        assert!(!tier.probe(0, &Tuple::from_strs(&["2"]), Some(10)));
-        // Write-back under a larger budget widens the entry (strikes reset).
-        tier.absorb(0, &e, CoverageOutcome::Exhausted, 200);
-        assert!(tier.probe(0, &e, Some(150)));
-        // Three consecutive larger probes evict the entry.
-        for round in 0..EXHAUSTION_STRIKE_LIMIT {
-            assert!(!tier.probe(0, &e, Some(500)), "round {round}");
-        }
-        assert!(!tier.probe(0, &e, Some(10)), "entry should be gone");
-        assert_eq!(cache.trie_exhaustions_evicted(), 1);
-        // Definite verdicts erase a cached exhaustion on write-back.
-        tier.absorb(1, &e, CoverageOutcome::Exhausted, 100);
-        assert!(tier.probe(1, &e, Some(100)));
-        tier.absorb(1, &e, CoverageOutcome::Covered, 100);
-        assert!(!tier.probe(1, &e, Some(10)));
-    }
-
-    #[test]
-    fn trie_exhaustion_tier_resets_when_the_plan_is_replaced() {
-        let (db, head, bodies) = trie_fixture();
-        let stats = DatabaseStatistics::gather(&db);
-        let group: Vec<(usize, &[Atom])> = vec![(0, &bodies[0]), (1, &bodies[1])];
-        let (_, sorted) = canonical_group(&group);
-        let cache = BatchPlanCache::default();
-        let slotted: Vec<(usize, &[Atom])> =
-            sorted.iter().enumerate().map(|(i, &b)| (i, b)).collect();
-        let plan = Arc::new(BatchPlan::compile(&head, &slotted, &stats));
-        let (_, tier) = cache.store(&head, &sorted, Arc::clone(&plan));
-        let e = Tuple::from_strs(&["1"]);
-        tier.absorb(0, &e, CoverageOutcome::Exhausted, 100);
-        assert_eq!(tier.len(), 1);
-        // Re-storing (the recost path) hands out a fresh, empty tier: the
-        // old exhaustions were observed under the discarded node order.
-        let (_, fresh) = cache.store(&head, &sorted, plan);
-        assert!(fresh.is_empty());
-        assert!(!fresh.probe(0, &e, Some(10)));
-        match cache.fetch(&head, &sorted, &stats) {
-            BatchFetch::Hit(_, _, served) => assert!(Arc::ptr_eq(&served, &fresh)),
-            other => panic!("expected hit, got {other:?}"),
-        }
     }
 
     #[test]

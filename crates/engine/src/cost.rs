@@ -14,16 +14,10 @@
 //!   most-common-value lists and equi-depth histograms maintained by
 //!   `castor-relational`, so hub-heavy access paths are priced at their
 //!   frequency-weighted expected fan-out instead of the uniform average.
-//!
-//! [`CostOverrides`] carries *observed* per-literal candidate counts back
-//! into compilation — the feedback re-planning loop: when the executor
-//! reports that a plan's estimates diverged from reality, the engine
-//! recompiles the plan with the observed numbers taking precedence over
-//! any model.
 
 use crate::stats::DatabaseStatistics;
 use castor_logic::{Atom, Term};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A plan-costing model: estimates candidate rows for solving one body
@@ -90,15 +84,14 @@ pub struct OrderedLiteral {
 /// The greedy cheapest-bindable-literal schedule shared by
 /// [`crate::ClausePlan::compile_with`] and the batch trie's shared-prefix
 /// reordering: starting from `bound`, repeatedly pick the atom with the
-/// smallest `cost(index, atom, bound)` — first wins ties — record its
-/// access path, then mark its variables bound. `bound` is left holding
-/// every scheduled atom's variables. Access paths are computed once per
-/// *chosen* literal (a cost closure that needs them for losing candidates,
-/// e.g. for an override lookup, computes its own).
+/// smallest `cost(atom, bound)` — first wins ties — record its access
+/// path, then mark its variables bound. `bound` is left holding every
+/// scheduled atom's variables. Access paths are computed once per *chosen*
+/// literal.
 pub fn greedy_order(
     atoms: &[&Atom],
     bound: &mut BTreeSet<String>,
-    mut cost: impl FnMut(usize, &Atom, &BTreeSet<&str>) -> f64,
+    mut cost: impl FnMut(&Atom, &BTreeSet<&str>) -> f64,
 ) -> Vec<OrderedLiteral> {
     let mut remaining: Vec<usize> = (0..atoms.len()).collect();
     let mut ordered = Vec::with_capacity(atoms.len());
@@ -106,7 +99,7 @@ pub fn greedy_order(
         let borrowed: BTreeSet<&str> = bound.iter().map(String::as_str).collect();
         let mut best: Option<(usize, f64)> = None;
         for (slot, &idx) in remaining.iter().enumerate() {
-            let estimate = cost(idx, atoms[idx], &borrowed);
+            let estimate = cost(atoms[idx], &borrowed);
             if best.is_none_or(|(_, b)| estimate < b) {
                 best = Some((slot, estimate));
             }
@@ -218,39 +211,6 @@ impl CostModel for HistogramCost {
     }
 }
 
-/// Observed-row overrides for one clause, fed back by the executor:
-/// literal index → (the bound positions it executed under, average
-/// candidate rows actually produced). During recompilation an override
-/// beats any model estimate, but only while the literal's candidate access
-/// path matches the one the observation was made under — with a different
-/// bound set the observation does not transfer.
-#[derive(Debug, Clone, Default)]
-pub struct CostOverrides {
-    by_literal: HashMap<usize, (Vec<usize>, f64)>,
-}
-
-impl CostOverrides {
-    /// Records the observed average candidate rows for a literal under the
-    /// given access path.
-    pub fn insert(&mut self, literal: usize, positions: Vec<usize>, rows: f64) {
-        self.by_literal.insert(literal, (positions, rows));
-    }
-
-    /// The observed rows for `literal` if the candidate access path matches
-    /// the observation's.
-    pub fn lookup(&self, literal: usize, positions: &[usize]) -> Option<f64> {
-        self.by_literal
-            .get(&literal)
-            .filter(|(observed, _)| observed == positions)
-            .map(|(_, rows)| *rows)
-    }
-
-    /// Whether no overrides are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.by_literal.is_empty()
-    }
-}
-
 /// Shared unit-test fixture (also used by the plan tests): a skewed
 /// relation named `rel0` hiding a hub value behind 200 singleton keys
 /// (uniform estimate ~2.5 rows/probe, frequency-weighted ~180) and a
@@ -335,16 +295,5 @@ mod tests {
         let unbound = Atom::vars("link", &["x", "y"]);
         assert_eq!(UniformCost.estimate_atom(&unbound, &bound, &stats), 500.0);
         assert_eq!(HistogramCost.estimate_atom(&unbound, &bound, &stats), 500.0);
-    }
-
-    #[test]
-    fn overrides_apply_only_on_matching_access_paths() {
-        let mut overrides = CostOverrides::default();
-        assert!(overrides.is_empty());
-        overrides.insert(2, vec![0], 123.0);
-        assert_eq!(overrides.lookup(2, &[0]), Some(123.0));
-        assert_eq!(overrides.lookup(2, &[0, 1]), None);
-        assert_eq!(overrides.lookup(1, &[0]), None);
-        assert!(!overrides.is_empty());
     }
 }

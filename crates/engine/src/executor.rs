@@ -7,7 +7,7 @@
 //! unification. Bindings are undone through a trail rather than cloning the
 //! substitution per candidate.
 
-use crate::plan::{ClausePlan, PlanFeedback};
+use crate::plan::ClausePlan;
 use castor_logic::evaluation::{bind_head, unify_with_tuple};
 use castor_logic::{Clause, CoverageOutcome, EvalBudget, Substitution, Term};
 use castor_relational::{DatabaseInstance, Tuple, Value};
@@ -24,33 +24,12 @@ pub fn covers_with_plan(
     example: &Tuple,
     budget: &mut EvalBudget,
 ) -> CoverageOutcome {
-    covers_with_plan_observed(clause, plan, db, example, budget, None)
-}
-
-/// [`covers_with_plan`] with execution feedback: when `feedback` is given,
-/// the executor records one plan execution plus, per step invocation, the
-/// number of candidate rows the index probe actually produced — the
-/// observations the engine's feedback re-planning compares against the
-/// plan's estimates.
-pub fn covers_with_plan_observed(
-    clause: &Clause,
-    plan: &ClausePlan,
-    db: &DatabaseInstance,
-    example: &Tuple,
-    budget: &mut EvalBudget,
-    feedback: Option<&PlanFeedback>,
-) -> CoverageOutcome {
     debug_assert_eq!(plan.steps.len(), clause.body.len(), "plan/clause mismatch");
     let Some(mut theta) = bind_head(clause, example) else {
         return CoverageOutcome::NotCovered;
     };
-    if let Some(feedback) = feedback {
-        feedback.record_execution();
-    }
     let mut trail: Vec<String> = Vec::new();
-    let found = solve(
-        clause, plan, db, 0, &mut theta, &mut trail, budget, feedback,
-    );
+    let found = solve(clause, plan, db, 0, &mut theta, &mut trail, budget);
     if found {
         CoverageOutcome::Covered
     } else if budget.was_exhausted() {
@@ -60,7 +39,6 @@ pub fn covers_with_plan_observed(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve(
     clause: &Clause,
     plan: &ClausePlan,
@@ -69,7 +47,6 @@ fn solve(
     theta: &mut Substitution,
     trail: &mut Vec<String>,
     budget: &mut EvalBudget,
-    feedback: Option<&PlanFeedback>,
 ) -> bool {
     let Some(step) = plan.steps.get(step_idx) else {
         return true; // every literal solved
@@ -97,9 +74,6 @@ fn solve(
             .collect();
         instance.select_on_positions(&step.bound_positions, &key)
     };
-    if let Some(feedback) = feedback {
-        feedback.record_step(step_idx, candidates.len());
-    }
 
     for tuple in candidates {
         if !budget.consume() {
@@ -107,16 +81,7 @@ fn solve(
         }
         let mark = trail.len();
         if unify_with_tuple(atom, tuple, theta, trail)
-            && solve(
-                clause,
-                plan,
-                db,
-                step_idx + 1,
-                theta,
-                trail,
-                budget,
-                feedback,
-            )
+            && solve(clause, plan, db, step_idx + 1, theta, trail, budget)
         {
             return true;
         }

@@ -11,19 +11,17 @@
 //!   the skew-aware histograms/MCV lists of `castor-relational`) read off
 //!   the database's incrementally-maintained indexes and sketches;
 //! * [`cost`] — pluggable [`CostModel`]s: the skew-aware histogram model
-//!   (default), the uniform baseline, and observed-row overrides for
-//!   feedback re-planning;
+//!   (default) and the uniform baseline;
 //! * [`plan`] — compiled per-clause join orders chosen once from those
-//!   statistics instead of re-ranking literals at every backtracking node,
-//!   plus per-plan execution feedback ([`PlanFeedback`]) that triggers
-//!   recosting when estimates diverge from observed candidate rows;
+//!   statistics instead of re-ranking literals at every backtracking node;
 //! * [`executor`] — budgeted execution of a compiled plan against the
-//!   positional hash indexes, recording per-step candidate rows;
+//!   positional hash indexes;
+//! * [`batch`] — shared-prefix tries that evaluate a beam of sibling
+//!   candidates in one walk per example;
 //! * [`cache`] — a memoized coverage cache keyed by canonical
 //!   (variable-renamed) clauses, with generality-order propagation
-//!   ([`Prior::GeneralizationOf`]) promoted to an engine invariant, a
-//!   budget-aware tier for `Exhausted` verdicts, and the cross-round
-//!   [`BatchPlanCache`] for compiled shared-prefix tries;
+//!   ([`Prior::GeneralizationOf`]) promoted to an engine invariant and a
+//!   budget-aware tier for `Exhausted` verdicts;
 //! * [`pool`] — a persistent worker pool with work-stealing over examples,
 //!   replacing per-call thread spawning.
 //!
@@ -43,14 +41,11 @@ pub mod stats;
 
 pub use arena::{CacheArena, CacheBinding, ClauseLens, RelationLens};
 pub use batch::{BatchItemStats, BatchPlan};
-pub use cache::{
-    canonical_group, canonicalize, BatchFetch, BatchPlanCache, CoverageCache, TrieExhaustions,
-    EXHAUSTION_STRIKE_LIMIT,
-};
+pub use cache::{canonicalize, CoverageCache, EXHAUSTION_STRIKE_LIMIT};
 pub use castor_logic::{CoverageOutcome, EvalBudget, DEFAULT_EVAL_NODE_BUDGET};
-pub use cost::{CostModel, CostModelKind, CostOverrides, HistogramCost, UniformCost};
+pub use cost::{CostModel, CostModelKind, HistogramCost, UniformCost};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
-pub use plan::{ClausePlan, PlanFeedback, PlanStep};
+pub use plan::{ClausePlan, PlanStep};
 pub use pool::{PoolStats, WorkerPool};
 pub use stats::{DatabaseStatistics, EngineReport, EngineStats};
 
@@ -106,25 +101,15 @@ pub struct EngineConfig {
     pub eval_budget: usize,
     /// Memoize coverage results per canonical clause.
     pub cache_coverage: bool,
-    /// Maximum distinct clauses held by the coverage cache.
+    /// Maximum distinct clauses held by the coverage cache (and by the
+    /// compiled-plan table).
     pub cache_capacity: usize,
-    /// Compile and reuse per-clause join plans; when disabled every test
-    /// falls back to the interpreted evaluator (the ablation baseline).
-    pub compile_plans: bool,
     /// Minimum pending examples before a `covered_set` call is spread over
     /// the worker pool.
     pub parallel_threshold: usize,
     /// The cost model consulted by plan and trie compilation (histogram by
     /// default; [`CostModelKind::Uniform`] is the ablation baseline).
     pub cost_model: CostModelKind,
-    /// Plan executions observed before the feedback loop may judge the
-    /// plan's estimates.
-    pub recost_after: usize,
-    /// Feedback re-planning threshold: when a cached plan's observed
-    /// candidate rows diverge from its estimates by at least this factor
-    /// (on any step), the plan is recompiled with the observed numbers.
-    /// 0 disables feedback re-planning.
-    pub recost_divergence: u32,
 }
 
 impl Default for EngineConfig {
@@ -134,11 +119,8 @@ impl Default for EngineConfig {
             eval_budget: DEFAULT_EVAL_NODE_BUDGET,
             cache_coverage: true,
             cache_capacity: 16_384,
-            compile_plans: true,
             parallel_threshold: 8,
             cost_model: CostModelKind::Histogram,
-            recost_after: 8,
-            recost_divergence: 4,
         }
     }
 }
@@ -162,29 +144,10 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with plan compilation disabled (benchmark baseline).
-    pub fn without_compiled_plans(mut self) -> Self {
-        self.compile_plans = false;
-        self
-    }
-
-    /// Returns a copy using the given cost model.
-    pub fn with_cost_model(mut self, model: CostModelKind) -> Self {
-        self.cost_model = model;
-        self
-    }
-
     /// Returns a copy using the uniform-selectivity baseline model
     /// (ablation/benchmark baseline).
     pub fn with_uniform_costs(mut self) -> Self {
         self.cost_model = CostModelKind::Uniform;
-        self
-    }
-
-    /// Returns a copy with feedback re-planning disabled (plans are only
-    /// recompiled by epoch invalidation).
-    pub fn without_feedback_replanning(mut self) -> Self {
-        self.recost_divergence = 0;
         self
     }
 }
@@ -196,8 +159,6 @@ pub enum Prior<'a> {
     /// No prior knowledge: test every example (cache permitting).
     #[default]
     None,
-    /// These examples are known covered (legacy explicit form).
-    Known(&'a HashSet<Tuple>),
     /// The queried clause generalizes this clause, so everything the parent
     /// is cached as covering is covered — the generality order of
     /// Section 7.5.4 as an engine invariant.
@@ -383,21 +344,6 @@ impl CoverageRuntime {
         self.cache().clear();
     }
 
-    /// Drops one clause's cached exhaustion entries (see
-    /// [`CoverageCache::drop_exhausted`]) — called when the clause's plan
-    /// is recosted, since those exhaustions were observed under the
-    /// discarded join order.
-    pub fn drop_exhausted(&self, canonical: &Clause) -> usize {
-        self.cache().drop_exhausted(&self.key_of(canonical))
-    }
-
-    /// Drops every cached exhaustion entry (see
-    /// [`CoverageCache::drop_all_exhausted`]) — called when the plan table
-    /// is cleared at capacity, which reverts every recosted join order.
-    pub fn drop_all_exhausted(&self) -> usize {
-        self.cache().drop_all_exhausted()
-    }
-
     /// Tri-state coverage test for one example through the memo cache.
     pub fn try_covers<T: CoverageTester>(
         &self,
@@ -442,43 +388,25 @@ impl CoverageRuntime {
         prior: Prior<'_>,
     ) -> HashSet<Tuple> {
         let mut covered: HashSet<Tuple> = HashSet::new();
-        let mut skip: HashSet<Tuple> = HashSet::new();
-        // `cacheable_skips`: only generality-derived facts go into the memo
-        // table. Entries from Prior::Known are the *caller's* claim — they
-        // shape this result but must not poison the shared cache.
-        let mut cacheable_skips = false;
-        match prior {
-            Prior::None => {}
-            Prior::Known(known) => {
-                for e in examples {
-                    if known.contains(e) {
-                        covered.insert(e.clone());
-                        skip.insert(e.clone());
-                    }
-                }
-            }
-            Prior::GeneralizationOf(parent) => {
-                let parent_canonical = canonicalize(parent);
-                let parent_key = self.key_of(&parent_canonical);
-                let (subset, cross) =
-                    self.cache()
-                        .covered_subset_from(&parent_key, examples, self.variant());
-                self.note_cross_hits(cross);
-                for e in subset {
-                    covered.insert(e.clone());
-                    skip.insert(e);
-                }
-                cacheable_skips = true;
-            }
+        if let Prior::GeneralizationOf(parent) = prior {
+            let parent_canonical = canonicalize(parent);
+            let parent_key = self.key_of(&parent_canonical);
+            let (subset, cross) =
+                self.cache()
+                    .covered_subset_from(&parent_key, examples, self.variant());
+            self.note_cross_hits(cross);
+            covered.extend(subset);
         }
         let scope = tester.exhaustion_scope();
         let key = self.key_of(canonical);
-        if !skip.is_empty() {
-            EngineStats::add(&self.metrics.generality_skips, skip.len());
-            if self.cache_coverage && cacheable_skips {
+        if !covered.is_empty() {
+            EngineStats::add(&self.metrics.generality_skips, covered.len());
+            if self.cache_coverage {
                 self.cache().insert_many_from(
                     &key,
-                    skip.iter().map(|e| (e.clone(), CoverageOutcome::Covered)),
+                    covered
+                        .iter()
+                        .map(|e| (e.clone(), CoverageOutcome::Covered)),
                     scope,
                     self.variant(),
                 );
@@ -499,7 +427,7 @@ impl CoverageRuntime {
         };
         let mut hits = 0usize;
         for (e, cached) in examples.iter().zip(cached) {
-            if skip.contains(e) || covered.contains(e) {
+            if covered.contains(e) {
                 continue;
             }
             match cached {
@@ -636,32 +564,22 @@ impl CoverageRuntime {
         let key_at = |slot: usize| keys.as_deref().map_or(&unique[slot], |k| &k[slot]);
 
         let mut covered: Vec<HashSet<Tuple>> = vec![HashSet::new(); unique.len()];
-        // Only generality-derived skips may be written back to the shared
-        // cache; `Prior::Known` entries are the caller's claim.
-        let mut cacheable: Vec<Vec<Tuple>> = vec![Vec::new(); unique.len()];
+        // Generality-derived coverage, written back to the cache below.
+        let mut derived: Vec<Vec<Tuple>> = vec![Vec::new(); unique.len()];
         for (i, prior) in priors.iter().enumerate() {
+            let Prior::GeneralizationOf(parent) = prior else {
+                continue;
+            };
             let slot = slot_of[i];
-            match prior {
-                Prior::None => {}
-                Prior::Known(known) => {
-                    for e in examples {
-                        if known.contains(e) {
-                            covered[slot].insert(e.clone());
-                        }
-                    }
-                }
-                Prior::GeneralizationOf(parent) => {
-                    let parent_canonical = canonicalize(parent);
-                    let parent_key = self.key_of(&parent_canonical);
-                    let (subset, cross) =
-                        self.cache()
-                            .covered_subset_from(&parent_key, examples, self.variant());
-                    self.note_cross_hits(cross);
-                    for e in subset {
-                        if covered[slot].insert(e.clone()) {
-                            cacheable[slot].push(e);
-                        }
-                    }
+            let parent_canonical = canonicalize(parent);
+            let parent_key = self.key_of(&parent_canonical);
+            let (subset, cross) =
+                self.cache()
+                    .covered_subset_from(&parent_key, examples, self.variant());
+            self.note_cross_hits(cross);
+            for e in subset {
+                if covered[slot].insert(e.clone()) {
+                    derived[slot].push(e);
                 }
             }
         }
@@ -670,7 +588,7 @@ impl CoverageRuntime {
             EngineStats::add(&self.metrics.generality_skips, skips);
         }
         if self.cache_coverage {
-            for (slot, derived) in cacheable.into_iter().enumerate() {
+            for (slot, derived) in derived.into_iter().enumerate() {
                 if !derived.is_empty() {
                     self.cache().insert_many_from(
                         key_at(slot),
@@ -814,25 +732,6 @@ impl BatchPrep {
     }
 }
 
-/// A fetched plan plus the feedback handle executors record into (`None`
-/// once the plan's estimates are validated and recording has stopped).
-type FetchedPlan = (Arc<ClausePlan>, Option<Arc<PlanFeedback>>);
-
-/// One cached compiled plan plus the execution feedback shared by every
-/// executor running it (the raw material of feedback re-planning).
-#[derive(Debug)]
-struct PlanEntry {
-    plan: Arc<ClausePlan>,
-    feedback: Arc<PlanFeedback>,
-}
-
-impl PlanEntry {
-    fn new(plan: Arc<ClausePlan>) -> Self {
-        let feedback = Arc::new(PlanFeedback::new(plan.steps.len()));
-        PlanEntry { plan, feedback }
-    }
-}
-
 /// The database-backed evaluation engine: statistics, compiled plans,
 /// memoized coverage, and a persistent worker pool behind one front end.
 ///
@@ -850,10 +749,7 @@ impl PlanEntry {
 pub struct Engine {
     db: RwLock<Arc<DatabaseInstance>>,
     db_stats: RwLock<Arc<DatabaseStatistics>>,
-    plans: Mutex<fx::FxHashMap<Clause, PlanEntry>>,
-    /// Cross-round cache of compiled shared-prefix tries (see
-    /// [`BatchPlanCache`]).
-    batch_plans: BatchPlanCache,
+    plans: Mutex<fx::FxHashMap<Clause, Arc<ClausePlan>>>,
     runtime: CoverageRuntime,
     config: EngineConfig,
     /// Live per-test node budget (initialized from the config; a serving
@@ -887,8 +783,6 @@ struct EngineObs {
     batch_eval_ns: Arc<Histogram>,
     /// Fresh plan/trie compilation time.
     plan_compile_ns: Arc<Histogram>,
-    /// Feedback-driven recompilation time.
-    plan_recost_ns: Arc<Histogram>,
     /// Coverage-cache probe phase of a batch (memo lookup + prior
     /// propagation, before any plan executes).
     cache_probe_ns: Arc<Histogram>,
@@ -919,10 +813,6 @@ impl EngineObs {
             plan_compile_ns: hist(
                 "castor_engine_plan_compile_ns",
                 "Latency of compiling a fresh clause plan or shared-prefix trie.",
-            ),
-            plan_recost_ns: hist(
-                "castor_engine_plan_recost_ns",
-                "Latency of feedback-driven plan/trie recompilation.",
             ),
             cache_probe_ns: hist(
                 "castor_engine_cache_probe_ns",
@@ -1034,7 +924,6 @@ impl Engine {
         Engine {
             db_stats: RwLock::new(Arc::new(db_stats)),
             plans: Mutex::new(fx::FxHashMap::default()),
-            batch_plans: BatchPlanCache::new(config.cache_capacity),
             runtime,
             eval_budget: AtomicUsize::new(config.eval_budget),
             cancel: Mutex::new(None),
@@ -1175,13 +1064,9 @@ impl Engine {
         &self.config
     }
 
-    /// Snapshot of the engine counters. `exhaustions_evicted` folds in the
-    /// trie-tier evictions tracked by the [`BatchPlanCache`] alongside the
-    /// coverage cache's own.
+    /// Snapshot of the engine counters.
     pub fn report(&self) -> EngineReport {
-        let mut report = self.runtime.report();
-        report.exhaustions_evicted += self.batch_plans.trie_exhaustions_evicted();
-        report
+        self.runtime.report()
     }
 
     /// The observability handle this engine records into.
@@ -1205,10 +1090,8 @@ impl Engine {
     pub fn plan_order(&self, clause: &Clause) -> Option<Vec<String>> {
         let canonical = canonicalize(clause);
         let plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        plans.get(&canonical).map(|entry| {
-            entry
-                .plan
-                .steps
+        plans.get(&canonical).map(|plan| {
+            plan.steps
                 .iter()
                 .map(|step| canonical.body[step.literal].to_string())
                 .collect()
@@ -1244,171 +1127,40 @@ impl Engine {
         }
     }
 
-    /// The compiled plan for a canonical clause (plus its shared execution
-    /// feedback), compiling on first use. Every fetch re-validates the
-    /// cached plan's epoch stamps against the live statistics: a plan
-    /// costed before a mutation of any relation it touches is discarded and
-    /// recompiled, so a stale plan can never execute. A current plan whose
-    /// recorded feedback diverges from its estimates past the configured
-    /// threshold is *recosted*: recompiled with the observed candidate rows
-    /// overriding the model (`plans_recosted`). Bounded like the coverage
-    /// cache: at capacity the table is cleared rather than growing without
-    /// limit.
-    fn plan_for(&self, canonical: &Clause, stats: &DatabaseStatistics) -> FetchedPlan {
+    /// The compiled plan for a canonical clause, compiling on first use.
+    /// Every fetch re-validates the cached plan's epoch stamps against the
+    /// live statistics: a plan costed before a mutation of any relation it
+    /// touches is discarded and recompiled, so a stale plan can never
+    /// execute. Bounded like the coverage cache: at capacity the table is
+    /// cleared rather than growing without limit. A recompiled plan picks
+    /// the same join order as the discarded one — the order depends only on
+    /// the statistics, and those change only through a mutation, which also
+    /// drops the clause's memoized verdicts — so memoized exhaustions stay
+    /// valid across the clear.
+    fn plan_for(&self, canonical: &Clause, stats: &DatabaseStatistics) -> Arc<ClausePlan> {
         let metrics = self.runtime.metrics();
-        let model = self.config.cost_model.model();
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = plans.get(canonical) {
-            if !entry.plan.is_current(stats) {
-                EngineStats::bump(&metrics.plans_invalidated);
-                plans.remove(canonical);
-            } else if self.config.recost_divergence > 0
-                && entry.feedback.check_due(self.config.recost_after)
-                && {
-                    // Allocation-free scan; a passing check defers the next
-                    // one exponentially so hot, well-estimated plans pay a
-                    // single atomic load per fetch.
-                    let diverged = entry.feedback.divergence(&entry.plan)
-                        >= self.config.recost_divergence as f64;
-                    if !diverged {
-                        entry.feedback.defer_check();
-                    }
-                    diverged
-                }
-            {
-                // Feedback re-planning: recompile with the observed rows
-                // beating the model, and start collecting fresh feedback
-                // for the new order.
-                let overrides = entry.feedback.overrides(&entry.plan);
-                let timer = self.obs.obs.timer();
-                let plan = Arc::new(ClausePlan::compile_with(
-                    canonical, stats, model, &overrides,
-                ));
-                timer.stop_ns(&self.obs.plan_recost_ns);
-                EngineStats::bump(&metrics.plans_recosted);
-                // Exhaustions memoized for this clause were observed under
-                // the discarded join order; the new one may decide them
-                // within the same budget, so they must be re-evaluated.
-                self.runtime.drop_exhausted(canonical);
-                let entry = PlanEntry::new(plan);
-                let out = (Arc::clone(&entry.plan), Some(Arc::clone(&entry.feedback)));
-                plans.insert(canonical.clone(), entry);
-                return out;
-            } else {
+        if let Some(plan) = plans.get(canonical) {
+            if plan.is_current(stats) {
                 EngineStats::bump(&metrics.plan_cache_hits);
-                // Validated feedback is not handed out: the estimates have
-                // held through enough checks that per-probe recording is
-                // pure overhead.
-                let feedback =
-                    (!entry.feedback.is_validated()).then(|| Arc::clone(&entry.feedback));
-                return (Arc::clone(&entry.plan), feedback);
+                return Arc::clone(plan);
             }
+            EngineStats::bump(&metrics.plans_invalidated);
+            plans.remove(canonical);
         }
         if plans.len() >= self.config.cache_capacity {
             plans.clear();
-            // The clear discarded every recosted order and its feedback:
-            // clauses recompile to model-driven orders, under which cached
-            // exhaustions (observed under the recosted orders) may be
-            // beatable — drop them all, like a recost does per clause.
-            self.runtime.drop_all_exhausted();
         }
         let timer = self.obs.obs.timer();
         let plan = Arc::new(ClausePlan::compile_with(
             canonical,
             stats,
-            model,
-            &CostOverrides::default(),
+            self.config.cost_model.model(),
         ));
         timer.stop_ns(&self.obs.plan_compile_ns);
         EngineStats::bump(&metrics.plans_compiled);
-        let entry = PlanEntry::new(plan);
-        let out = (Arc::clone(&entry.plan), Some(Arc::clone(&entry.feedback)));
-        plans.insert(canonical.clone(), entry);
-        out
-    }
-
-    /// The compiled shared-prefix trie for one sibling group, served from
-    /// the cross-round [`BatchPlanCache`] when a current entry exists.
-    /// `bodies` must be in the canonical sorted order from
-    /// [`canonical_group`]; the plan's candidate slots are *local* (indices
-    /// into that order), mapped back through the slot map the caller kept.
-    /// The hit path never clones an atom — owned keys are built only when
-    /// a freshly compiled trie is stored.
-    ///
-    /// Returns the trie plus the feedback handle batch execution records
-    /// observed candidate rows into (`None` once the trie's estimates are
-    /// validated) plus the trie's exhaustion tier (budget-keyed memoized
-    /// `Exhausted` verdicts scoped to this trie's execution order; see
-    /// [`TrieExhaustions`]). A cached trie whose recorded feedback diverges
-    /// from its node estimates past the configured threshold is *recosted*
-    /// exactly like a [`ClausePlan`]: recompiled with the observed rows
-    /// overriding the model, counted in `plans_recosted` — the store hands
-    /// back a fresh (empty) exhaustion tier, since the old tier's verdicts
-    /// were observed under the discarded order.
-    fn batch_plan_for(
-        &self,
-        head: &Atom,
-        bodies: &[&[castor_logic::Atom]],
-        stats: &DatabaseStatistics,
-    ) -> (
-        Arc<BatchPlan>,
-        Option<Arc<PlanFeedback>>,
-        Arc<TrieExhaustions>,
-    ) {
-        let metrics = self.runtime.metrics();
-        let model = self.config.cost_model.model();
-        let mut recost: Option<batch::TrieCostOverrides> = None;
-        match self.batch_plans.fetch(head, bodies, stats) {
-            BatchFetch::Hit(plan, feedback, exhaustions) => {
-                EngineStats::bump(&metrics.batch_plan_cache_hits);
-                let diverged = self.config.recost_divergence > 0
-                    && feedback.check_due(self.config.recost_after)
-                    && {
-                        let diverged = feedback
-                            .divergence_by(|node| plan.node(node).estimated_cost)
-                            >= self.config.recost_divergence as f64;
-                        if !diverged {
-                            feedback.defer_check();
-                        }
-                        diverged
-                    };
-                if !diverged {
-                    let feedback = (!feedback.is_validated()).then_some(feedback);
-                    return (plan, feedback, exhaustions);
-                }
-                // Feedback recosting: fall through to recompilation with
-                // the observed rows beating the model.
-                recost = Some(batch::TrieCostOverrides::from_feedback(&plan, &feedback));
-            }
-            BatchFetch::Stale => {
-                EngineStats::bump(&metrics.batch_plans_invalidated);
-            }
-            BatchFetch::Miss => {}
-        }
-        let slotted: Vec<(usize, &[castor_logic::Atom])> =
-            bodies.iter().enumerate().map(|(i, &b)| (i, b)).collect();
-        let plan = match &recost {
-            Some(overrides) => {
-                let observed = batch::ObservedTrieCost {
-                    inner: model,
-                    overrides,
-                };
-                let timer = self.obs.obs.timer();
-                let plan = Arc::new(BatchPlan::compile_with(head, &slotted, stats, &observed));
-                timer.stop_ns(&self.obs.plan_recost_ns);
-                EngineStats::bump(&metrics.plans_recosted);
-                plan
-            }
-            None => {
-                let timer = self.obs.obs.timer();
-                let plan = Arc::new(BatchPlan::compile_with(head, &slotted, stats, model));
-                timer.stop_ns(&self.obs.plan_compile_ns);
-                EngineStats::bump(&metrics.batch_plans_compiled);
-                plan
-            }
-        };
-        let (feedback, exhaustions) = self.batch_plans.store(head, bodies, Arc::clone(&plan));
-        (plan, Some(feedback), exhaustions)
+        plans.insert(canonical.clone(), Arc::clone(&plan));
+        plan
     }
 
     /// Tri-state coverage test for one example, going through the cache and
@@ -1512,9 +1264,9 @@ impl Engine {
     ///
     /// `priors` is empty or one [`Prior`] per clause (the generality order,
     /// exactly as in [`Engine::covered_set`]). The engine falls back to
-    /// per-clause compiled plans when batching cannot help: plan compilation
-    /// disabled, a batch of fewer than two clauses, or candidates that share
-    /// no head with any other candidate.
+    /// per-clause compiled plans when batching cannot help: a batch of fewer
+    /// than two clauses, or candidates that share no head with any other
+    /// candidate.
     pub fn covered_sets_batch_with_priors(
         &self,
         clauses: &[Clause],
@@ -1565,21 +1317,19 @@ impl Engine {
         }
         let metrics = self.runtime.metrics();
         EngineStats::add(&metrics.batch_clauses, clauses.len());
-        if !self.config.compile_plans || clauses.len() < 2 || examples.is_empty() {
+        if clauses.len() < 2 || examples.is_empty() {
             return self
                 .runtime
                 .covered_sets_batch(self, clauses, examples, priors);
         }
-        // The batch prep opts out of the *clause-keyed* exhaustion tier
-        // (`None` scope): trie execution charges shared-prefix probes to
-        // every live candidate, so its exhaustions are not node-comparable
-        // with per-clause-plan ones — an exhaustion is budget-monotone
-        // only under a fixed execution order. Trie-produced exhaustions
-        // are instead memoized in the per-trie tier ([`TrieExhaustions`],
-        // keyed by the trie's own execution order) and served inside
-        // `evaluate_batch_pending`; lone candidates, which run ordinary
+        // The batch prep opts out of the exhaustion tier (`None` scope):
+        // trie execution charges shared-prefix probes to every live
+        // candidate, so its exhaustions are not node-comparable with
+        // per-clause-plan ones — an exhaustion is budget-monotone only
+        // under a fixed execution order. Trie-produced exhaustions are
+        // therefore never memoized; lone candidates, which run ordinary
         // per-clause plans, still write their exhaustions back into the
-        // clause-keyed tier for the non-batched entry points to serve.
+        // tier for the non-batched entry points to serve.
         let probe = self.obs.obs.timer();
         let mut prep = self.runtime.prepare_batch(clauses, priors, examples, None);
         probe.stop_ns(&self.obs.cache_probe_ns);
@@ -1589,17 +1339,13 @@ impl Engine {
 
     /// Evaluates every pending (slot, example) pair of a prepared batch:
     /// head-groups with at least two candidates run through a shared-prefix
-    /// trie (fetched from the cross-round [`BatchPlanCache`] or compiled,
-    /// then work-stolen over the subtree × example grid), lone candidates
-    /// take the per-clause compiled-plan path.
+    /// trie compiled for the group (work-stolen over the subtree × example
+    /// grid), lone candidates take the per-clause compiled-plan path.
     fn evaluate_batch_pending(&self, prep: &mut BatchPrep, examples: &[Tuple]) {
         let metrics = self.runtime.metrics();
         let db = self.snapshot();
         let db_stats = self.statistics();
-        // Exhaustion scope captured before any trie runs: budgets recorded
-        // into the per-trie tiers must be the ones in effect at the start,
-        // exactly as `narrow_scope` documents for the clause-keyed tier.
-        let scope = self.exhaustion_scope();
+        let model = self.config.cost_model.model();
         let mut groups: fx::FxHashMap<&Atom, Vec<usize>> = fx::FxHashMap::default();
         for (slot, clause) in prep.unique.iter().enumerate() {
             if !prep.pending[slot].is_empty() {
@@ -1608,15 +1354,9 @@ impl Engine {
         }
 
         let mut singles: Vec<(usize, usize)> = Vec::new();
-        // Tries plus, per trie, the map from its local candidate slots
-        // (indices into the cache key's sorted bodies) back to the prepared
-        // batch's global slots.
-        let mut plans: Vec<Arc<BatchPlan>> = Vec::new();
-        let mut feedbacks: Vec<Option<Arc<PlanFeedback>>> = Vec::new();
-        let mut slot_maps: Vec<Vec<usize>> = Vec::new();
-        // Per-trie exhaustion tiers, parallel to `plans`: probed before
-        // the grid is built, written back after it runs.
-        let mut tiers: Vec<Arc<TrieExhaustions>> = Vec::new();
+        // One trie per head group; its candidate slots are the prepared
+        // batch's slots.
+        let mut plans: Vec<BatchPlan> = Vec::new();
         // (slot, example index, outcome) verdicts settled without a search:
         // empty-bodied candidates are covered iff the head binds.
         let mut evaluated: Vec<(usize, usize, CoverageOutcome)> = Vec::new();
@@ -1627,41 +1367,17 @@ impl Engine {
                 singles.extend(prep.pending[s].iter().map(|&ei| (s, ei)));
                 continue;
             }
-            let group: Vec<(usize, &[castor_logic::Atom])> = slots
+            let group: Vec<(usize, &[Atom])> = slots
                 .iter()
                 .map(|&s| (s, prep.unique[s].body.as_slice()))
                 .collect();
-            // Canonical (head, sorted body-set) identity: consecutive beam
-            // rounds that re-score the same sibling group reuse the
-            // compiled trie; the fetch re-validates its `(relation, epoch)`
-            // stamps, so a trie costed before a mutation is recompiled,
-            // never reused.
-            let (slot_map, bodies) = canonical_group(&group);
-            let (plan, feedback, exhaustions) = self.batch_plan_for(head, &bodies, &db_stats);
-            // Serve memoized trie exhaustions before the masks are built:
-            // a pair whose exhaustion was recorded under an equal-or-
-            // smaller budget is answered here and drops out of the grid
-            // (a larger recorded budget strikes the entry instead — see
-            // [`TrieExhaustions::probe`]).
-            let mut served = 0usize;
-            for (local, &s) in slot_map.iter().enumerate() {
-                prep.pending[s].retain(|&ei| {
-                    if exhaustions.probe(local, &examples[ei], scope) {
-                        evaluated.push((s, ei, CoverageOutcome::Exhausted));
-                        served += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            if served > 0 {
-                EngineStats::add(&metrics.cache_hits, served);
-            }
+            let timer = self.obs.obs.timer();
+            let plan = BatchPlan::compile_with(head, &group, &db_stats, model);
+            timer.stop_ns(&self.obs.plan_compile_ns);
+            EngineStats::bump(&metrics.batch_plans_compiled);
             if !plan.root_accepting.is_empty() {
                 let head_clause = Clause::fact(head.clone());
-                for &local in &plan.root_accepting {
-                    let s = slot_map[local];
+                for &s in &plan.root_accepting {
                     for &ei in &prep.pending[s] {
                         let outcome =
                             if castor_logic::evaluation::bind_head(&head_clause, &examples[ei])
@@ -1677,41 +1393,31 @@ impl Engine {
                 }
             }
             plans.push(plan);
-            feedbacks.push(feedback);
-            slot_maps.push(slot_map);
-            tiers.push(exhaustions);
         }
 
         // The work grid: rows are trie subtrees (across all head groups),
         // columns are examples; each cell decides every live candidate of
-        // its subtree for its example. Live masks are per trie, in local
-        // slot space.
+        // its subtree for its example. Live masks are per example, in slot
+        // space.
         let subtrees: Vec<(usize, usize)> = plans
             .iter()
             .enumerate()
             .flat_map(|(pi, plan)| plan.roots.iter().map(move |&root| (pi, root)))
             .collect();
-        let mut pending_mask: Vec<Vec<bool>> = vec![vec![false; examples.len()]; prep.unique.len()];
+        let mut masks: Vec<Vec<bool>> = vec![vec![false; prep.unique.len()]; examples.len()];
         for (slot, exs) in prep.pending.iter().enumerate() {
             for &ei in exs {
-                pending_mask[slot][ei] = true;
+                masks[ei][slot] = true;
             }
         }
-        let masks: Vec<Vec<Vec<bool>>> = slot_maps
-            .iter()
-            .map(|slot_map| {
-                (0..examples.len())
-                    .map(|ei| slot_map.iter().map(|&s| pending_mask[s][ei]).collect())
-                    .collect()
-            })
-            .collect();
+        let batches = plans.len();
+        let plans = Arc::new(plans);
         let budget = self.budget_template();
         let cells = subtrees.len() * examples.len();
         type Item = (Vec<(usize, CoverageOutcome)>, BatchItemStats);
         let items: Vec<Item> =
             if self.runtime.pool().size() > 1 && cells >= self.config.parallel_threshold {
-                let plans = Arc::new(plans.clone());
-                let feedbacks = Arc::new(feedbacks.clone());
+                let plans = Arc::clone(&plans);
                 let subtrees_shared = Arc::new(subtrees.clone());
                 let examples_shared = Arc::new(examples.to_vec());
                 let masks = Arc::new(masks);
@@ -1726,9 +1432,8 @@ impl Engine {
                             root,
                             &db,
                             &examples_shared[col],
-                            &masks[pi][col],
+                            &masks[col],
                             &budget,
-                            feedbacks[pi].as_deref(),
                         )
                     })
             } else {
@@ -1736,54 +1441,33 @@ impl Engine {
                 for &(pi, root) in &subtrees {
                     for (ei, example) in examples.iter().enumerate() {
                         out.push(batch::evaluate_subtree(
-                            &plans[pi],
-                            root,
-                            &db,
-                            example,
-                            &masks[pi][ei],
-                            &budget,
-                            feedbacks[pi].as_deref(),
+                            &plans[pi], root, &db, example, &masks[ei], &budget,
                         ));
                     }
                 }
                 out
             };
 
-        // Scope narrowed across the evaluation: a cancellation that fired
-        // mid-grid turns exhaustions into aborts, which must not be
-        // memoized; a budget raise must not inflate the stored key.
-        let write_scope = narrow_scope(scope, self.exhaustion_scope());
         let mut agg = BatchItemStats::default();
         for (idx, (outcomes, stats)) in items.into_iter().enumerate() {
             // map_grid and the inline loop are both row-major over
             // (subtree, example).
             let ei = idx % examples.len();
-            let pi = subtrees[idx / examples.len()].0;
             agg.absorb(&stats);
-            for (local, o) in outcomes {
-                // Write back into this trie's exhaustion tier: exhausted
-                // verdicts are memoized under the evaluation budget,
-                // definite verdicts erase any stale exhaustion entry.
-                if let Some(budget) = write_scope {
-                    tiers[pi].absorb(local, &examples[ei], o, budget);
-                }
-                evaluated.push((slot_maps[pi][local], ei, o));
-            }
+            evaluated.extend(outcomes.into_iter().map(|(s, o)| (s, ei, o)));
         }
         EngineStats::add(&metrics.coverage_tests, agg.tests + trivial_tests);
         EngineStats::add(&metrics.budget_exhausted, agg.budget_exhausted);
         EngineStats::add(&metrics.batch_prefix_hits, agg.prefix_hits);
         EngineStats::add(&metrics.batch_suffix_forks, agg.suffix_forks);
-        EngineStats::add(&metrics.batches, plans.len());
+        EngineStats::add(&metrics.batches, batches);
 
         let pairs: Vec<(usize, usize)> = evaluated.iter().map(|&(s, ei, _)| (s, ei)).collect();
         let outcomes: Vec<CoverageOutcome> = evaluated.iter().map(|&(_, _, o)| o).collect();
-        // Trie-produced exhaustions stay out of the *clause-keyed* cache
-        // (`None` scope): the trie's per-candidate budget accounting is
-        // not comparable with the per-clause plan path that might answer
-        // the same (clause, example) later. They were already written to
-        // the per-trie tier above, whose lifetime is the compiled trie
-        // itself. Definite verdicts are cached as usual.
+        // Trie-produced exhaustions stay out of the cache (`None` scope):
+        // the trie's per-candidate budget accounting is not comparable with
+        // the per-clause plan path that might answer the same (clause,
+        // example) later. Definite verdicts are cached as usual.
         {
             let BatchPrep {
                 unique,
@@ -1833,19 +1517,8 @@ impl CoverageTester for Engine {
         EngineStats::bump(&metrics.coverage_tests);
         let db = self.snapshot();
         let mut budget = self.budget_template();
-        let outcome = if self.config.compile_plans {
-            let (plan, feedback) = self.plan_for(canonical, &self.statistics());
-            executor::covers_with_plan_observed(
-                canonical,
-                &plan,
-                &db,
-                example,
-                &mut budget,
-                feedback.as_deref(),
-            )
-        } else {
-            castor_logic::covers_example_budgeted(canonical, &db, example, &mut budget)
-        };
+        let plan = self.plan_for(canonical, &self.statistics());
+        let outcome = executor::covers_with_plan(canonical, &plan, &db, example, &mut budget);
         if outcome.is_exhausted() {
             EngineStats::bump(&metrics.budget_exhausted);
         }
@@ -1862,29 +1535,12 @@ impl CoverageTester for Engine {
         let clause = canonical.clone();
         let budget = self.budget_template();
         let examples = Arc::clone(examples);
-        let plan = self
-            .config
-            .compile_plans
-            .then(|| self.plan_for(canonical, &self.statistics()));
+        let plan = self.plan_for(canonical, &self.statistics());
         Box::new(move |i| {
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome = match &plan {
-                Some((plan, feedback)) => executor::covers_with_plan_observed(
-                    &clause,
-                    plan,
-                    &db,
-                    &examples[i],
-                    &mut node_budget,
-                    feedback.as_deref(),
-                ),
-                None => castor_logic::covers_example_budgeted(
-                    &clause,
-                    &db,
-                    &examples[i],
-                    &mut node_budget,
-                ),
-            };
+            let outcome =
+                executor::covers_with_plan(&clause, &plan, &db, &examples[i], &mut node_budget);
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -1904,36 +1560,22 @@ impl CoverageTester for Engine {
         let canonicals = Arc::clone(canonicals);
         let examples = Arc::clone(examples);
         let pairs = Arc::clone(pairs);
-        let plans: Option<Vec<FetchedPlan>> = self.config.compile_plans.then(|| {
-            let stats = self.statistics();
-            canonicals
-                .iter()
-                .map(|c| self.plan_for(c, &stats))
-                .collect()
-        });
+        let stats = self.statistics();
+        let plans: Vec<Arc<ClausePlan>> = canonicals
+            .iter()
+            .map(|c| self.plan_for(c, &stats))
+            .collect();
         Box::new(move |i| {
             let (slot, ei) = pairs[i];
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome = match &plans {
-                Some(plans) => {
-                    let (plan, feedback) = &plans[slot];
-                    executor::covers_with_plan_observed(
-                        &canonicals[slot],
-                        plan,
-                        &db,
-                        &examples[ei],
-                        &mut node_budget,
-                        feedback.as_deref(),
-                    )
-                }
-                None => castor_logic::covers_example_budgeted(
-                    &canonicals[slot],
-                    &db,
-                    &examples[ei],
-                    &mut node_budget,
-                ),
-            };
+            let outcome = executor::covers_with_plan(
+                &canonicals[slot],
+                &plans[slot],
+                &db,
+                &examples[ei],
+                &mut node_budget,
+            );
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -1983,16 +1625,32 @@ mod tests {
         let db = db();
         let engine = Engine::new(&db, EngineConfig::default());
         let clause = collaborated("x", "y", "p");
-        for example in [
+        let examples = [
             Tuple::from_strs(&["ann", "bob"]),
             Tuple::from_strs(&["ann", "carol"]),
             Tuple::from_strs(&["eve", "eve"]),
-        ] {
+            Tuple::from_strs(&["carol", "dan"]),
+            Tuple::from_strs(&["ann", "dan"]),
+        ];
+        for example in &examples {
             assert_eq!(
-                engine.covers(&clause, &example),
-                castor_logic::covers_example(&clause, &db, &example),
+                engine.covers(&clause, example),
+                castor_logic::covers_example(&clause, &db, example),
                 "engine disagrees on {example}"
             );
+        }
+        // The batched trie path agrees with the reference evaluator too.
+        let beam = sibling_beam();
+        let sets = engine.covered_sets_batch(&beam, &examples);
+        assert!(engine.report().batches >= 1, "trie path not taken");
+        for (clause, set) in beam.iter().zip(&sets) {
+            for example in &examples {
+                assert_eq!(
+                    set.contains(example),
+                    castor_logic::covers_example(clause, &db, example),
+                    "batched {clause} disagrees on {example}"
+                );
+            }
         }
     }
 
@@ -2048,24 +1706,6 @@ mod tests {
         let report = engine.report();
         assert_eq!(report.coverage_tests, 2);
         assert_eq!(report.cache_hits, 0);
-    }
-
-    #[test]
-    fn interpreted_fallback_agrees_with_compiled_plans() {
-        let db = db();
-        let compiled = Engine::new(&db, EngineConfig::default());
-        let interpreted = Engine::new(&db, EngineConfig::default().without_compiled_plans());
-        let clause = collaborated("x", "y", "p");
-        let examples: Vec<Tuple> = vec![
-            Tuple::from_strs(&["ann", "bob"]),
-            Tuple::from_strs(&["carol", "dan"]),
-            Tuple::from_strs(&["ann", "dan"]),
-            Tuple::from_strs(&["eve", "eve"]),
-        ];
-        assert_eq!(
-            compiled.covered_set(&clause, &examples, Prior::None),
-            interpreted.covered_set(&clause, &examples, Prior::None)
-        );
     }
 
     #[test]
@@ -2211,22 +1851,6 @@ mod tests {
             sequential.covered_sets_batch(&beam, &many),
             parallel.covered_sets_batch(&beam, &many)
         );
-    }
-
-    #[test]
-    fn batch_falls_back_without_compiled_plans() {
-        let db = db();
-        let compiled = Engine::new(&db, EngineConfig::default());
-        let interpreted = Engine::new(&db, EngineConfig::default().without_compiled_plans());
-        let beam = sibling_beam();
-        let examples = batch_examples();
-        assert_eq!(
-            compiled.covered_sets_batch(&beam, &examples),
-            interpreted.covered_sets_batch(&beam, &examples)
-        );
-        // No trie ran on the interpreted side.
-        assert_eq!(interpreted.report().batches, 0);
-        assert_eq!(interpreted.report().batch_clauses, beam.len());
     }
 
     #[test]
@@ -2427,48 +2051,6 @@ mod tests {
     }
 
     #[test]
-    fn trie_exhaustions_are_served_across_batch_rounds() {
-        let db = db();
-        let engine = Engine::new(&db, EngineConfig::default().with_eval_budget(1));
-        let beam = sibling_beam();
-        let examples = batch_examples();
-        let first = engine.covered_sets_batch(&beam, &examples);
-        let before = engine.report();
-        assert!(
-            before.budget_exhausted > 0,
-            "budget 1 exhausted nothing: {before}"
-        );
-        // Same beam, same budget: the definite pairs come out of the
-        // clause-keyed memo cache, the exhausted pairs out of the trie's
-        // own exhaustion tier — nothing re-runs, and the grid sees only
-        // dead masks.
-        let second = engine.covered_sets_batch(&beam, &examples);
-        let after = engine.report();
-        assert_eq!(first, second);
-        assert_eq!(after.coverage_tests, before.coverage_tests);
-        assert_eq!(after.budget_exhausted, before.budget_exhausted);
-        assert!(
-            after.cache_hits > before.cache_hits,
-            "no pair was served from a cache: {after}"
-        );
-        assert_eq!(after.batch_plan_cache_hits, 1, "trie not reused: {after}");
-        // A budget raise beats the tier: the pairs re-evaluate and the
-        // definite verdicts erase their exhaustion entries.
-        engine.set_eval_budget(DEFAULT_EVAL_NODE_BUDGET);
-        let third = engine.covered_sets_batch(&beam, &examples);
-        let settled = engine.report();
-        assert!(settled.coverage_tests > after.coverage_tests);
-        let solo = Engine::new(&db, EngineConfig::default());
-        for (clause, covered) in beam.iter().zip(&third) {
-            assert_eq!(
-                covered,
-                &solo.covered_set(clause, &examples, Prior::None),
-                "post-raise disagreement on {clause}"
-            );
-        }
-    }
-
-    #[test]
     fn cancellation_pending_keeps_exhaustions_out_of_the_cache() {
         let db = db();
         let engine = Engine::new(&db, EngineConfig::default());
@@ -2490,191 +2072,43 @@ mod tests {
         assert_eq!(engine.report().coverage_tests, before.coverage_tests + 1);
     }
 
-    /// A database whose `skewed` relation hides a hub value behind a high
-    /// distinct count — the uniform estimate is wrong by ~100×.
-    fn skewed_db() -> DatabaseInstance {
-        let mut schema = Schema::new("skew");
-        schema
-            .add_relation(RelationSymbol::new("skewed", &["a", "b"]))
-            .add_relation(RelationSymbol::new("flat", &["a", "b"]));
-        let mut db = DatabaseInstance::empty(&schema);
-        for i in 0..300 {
-            db.insert("skewed", Tuple::from_strs(&["hub", &format!("v{i}")]))
-                .unwrap();
-        }
-        for i in 0..200 {
-            db.insert(
-                "skewed",
-                Tuple::from_strs(&[&format!("k{i}"), &format!("w{i}")]),
-            )
-            .unwrap();
-        }
-        for i in 0..40 {
-            db.insert("flat", Tuple::from_strs(&["hub", &format!("x{i}")]))
-                .unwrap();
-        }
-        db
-    }
-
     #[test]
-    fn feedback_replanning_recosts_diverging_plans() {
-        let db = skewed_db();
-        // Uniform model so the initial order is provably wrong; cache off
-        // so repeated scoring actually executes and feeds the loop.
-        let config = EngineConfig::default().with_uniform_costs().without_cache();
-        let engine = Engine::new(&db, config);
-        let clause = Clause::new(
-            Atom::vars("t", &["x"]),
-            vec![
-                Atom::vars("skewed", &["x", "y"]),
-                Atom::vars("flat", &["x", "z"]),
-            ],
-        );
-        // "nobody" matches nothing: full exploration through the bad order
-        // (the hub is never probed, but estimates vs observations on the
-        // hub example below diverge hard).
-        let hub = Tuple::from_strs(&["hub"]);
-        let miss = Tuple::from_strs(&["k3"]);
-        // Enough executions for the feedback loop to judge the plan; the
-        // recost happens lazily on a later plan fetch inside this loop.
-        for _ in 0..engine.config().recost_after + 2 {
-            assert!(engine.covers(&clause, &hub));
-            assert!(!engine.covers(&clause, &miss));
-        }
-        let after = engine.report();
-        assert_eq!(after.plans_recosted, 1, "no recost happened: {after}");
-        // Results stay identical after the recost.
-        assert!(engine.covers(&clause, &hub));
-        assert!(!engine.covers(&clause, &Tuple::from_strs(&["k7"])));
-        // The recosted plan does not thrash: further tests reuse it.
-        assert_eq!(engine.report().plans_recosted, 1);
-        // Feedback can be disabled: the same workload never recosts.
-        let frozen = Engine::new(
-            &skewed_db(),
-            EngineConfig::default()
-                .with_uniform_costs()
-                .without_cache()
-                .without_feedback_replanning(),
-        );
-        for _ in 0..frozen.config().recost_after + 2 {
-            frozen.covers(&clause, &hub);
-        }
-        assert_eq!(frozen.report().plans_recosted, 0);
-    }
-
-    #[test]
-    fn recosting_drops_stale_exhaustions_so_the_better_plan_runs() {
-        // An exhaustion is plan-dependent: under the mis-costed order the
-        // hub example exhausts, under the recosted order it is decidable
-        // within the same budget. With the coverage cache ON, the recost
-        // must drop the memoized exhaustion or the better plan never runs.
-        let mut schema = Schema::new("skew");
-        schema
-            .add_relation(RelationSymbol::new("skewed", &["a", "b"]))
-            .add_relation(RelationSymbol::new("blocked", &["a", "b"]));
-        let mut db = DatabaseInstance::empty(&schema);
-        for i in 0..300 {
-            db.insert("skewed", Tuple::from_strs(&["hub", &format!("v{i}")]))
-                .unwrap();
-        }
-        for i in 0..200 {
-            db.insert(
-                "skewed",
-                Tuple::from_strs(&[&format!("k{i}"), &format!("w{i}")]),
-            )
-            .unwrap();
-        }
-        // `blocked` never contains hub rows (the hub example is a definite
-        // "not covered") but is expensive enough per key (10 rows) that
-        // the uniform model schedules `skewed` (est ~2.5) first.
-        for i in 0..50 {
-            db.insert(
-                "blocked",
-                Tuple::from_strs(&[&format!("b{}", i % 5), &format!("c{i}")]),
-            )
-            .unwrap();
-        }
-        let clause = Clause::new(
-            Atom::vars("t", &["x"]),
-            vec![
-                Atom::vars("skewed", &["x", "y"]),
-                Atom::vars("blocked", &["x", "z"]),
-            ],
-        );
-        // Budget 100: the bad order (300 hub candidates) exhausts on the
-        // hub example; the good order (empty `blocked` probe) decides it
-        // in one node.
-        let engine = Engine::new(
-            &db,
-            EngineConfig::default()
-                .with_uniform_costs()
-                .with_eval_budget(100),
-        );
-        let hub = Tuple::from_strs(&["hub"]);
-        assert!(!engine.covers(&clause, &hub)); // exhausted, memoized @100
-        assert_eq!(engine.report().budget_exhausted, 1);
-        // Misses accumulate executions until the divergence check fires.
-        let mut recosted = false;
-        for i in 0..2 * engine.config().recost_after {
-            engine.covers(&clause, &Tuple::from_strs(&[&format!("k{i}")]));
-            if engine.report().plans_recosted > 0 {
-                recosted = true;
-                break;
-            }
-        }
-        assert!(recosted, "plan never recosted: {}", engine.report());
-        // The stale exhaustion was dropped with the bad plan: the next
-        // probe re-evaluates under the recosted order and gets a definite
-        // verdict within the same budget.
-        let before = engine.report();
-        assert!(!engine.covers(&clause, &hub));
-        let after = engine.report();
-        assert_eq!(
-            after.coverage_tests,
-            before.coverage_tests + 1,
-            "stale exhaustion served from cache: {after}"
-        );
-        assert_eq!(after.budget_exhausted, before.budget_exhausted);
-        // And the definite verdict is now memoized.
-        assert!(!engine.covers(&clause, &hub));
-        assert_eq!(engine.report().coverage_tests, after.coverage_tests);
-    }
-
-    #[test]
-    fn consecutive_beam_rounds_reuse_cached_tries() {
+    fn plan_table_clear_keeps_join_orders_and_memoized_exhaustions() {
         let db = db();
-        // Cache off so round 2 actually evaluates (and must still skip
-        // recompiling the trie).
-        let engine = Engine::new(&db, EngineConfig::default().without_cache());
-        let beam = sibling_beam();
-        let examples = batch_examples();
-        engine.covered_sets_batch(&beam, &examples);
-        let round1 = engine.report();
-        assert!(round1.batch_plans_compiled >= 1);
-        assert_eq!(round1.batch_plan_cache_hits, 0);
-        // Round 2: same sibling group (submitted in a different order) —
-        // the trie is served from the cross-round cache.
-        let mut shuffled = beam.clone();
-        shuffled.reverse();
-        let sets = engine.covered_sets_batch(&shuffled, &examples);
-        let round2 = engine.report();
-        assert_eq!(round2.batch_plans_compiled, round1.batch_plans_compiled);
-        assert!(round2.batch_plan_cache_hits >= 1, "no trie reuse: {round2}");
-        // Slot mapping survived the reversal.
-        let solo = Engine::new(&db, EngineConfig::default());
-        for (clause, set) in shuffled.iter().zip(&sets) {
-            assert_eq!(set, &solo.covered_set(clause, &examples, Prior::None));
-        }
-        // A mutation of a relation the trie reads invalidates it.
-        let batch = MutationBatch::new().insert("publication", Tuple::from_strs(&["p9", "zoe"]));
-        engine.apply(&batch).unwrap();
-        engine.covered_sets_batch(&beam, &examples);
-        let round3 = engine.report();
-        assert!(
-            round3.batch_plans_invalidated >= 1,
-            "stale trie survived the mutation: {round3}"
-        );
-        assert!(round3.batch_plans_compiled > round2.batch_plans_compiled);
+        // Capacity 2 bounds the plan table (and the coverage cache), so a
+        // third clause clears the plan table.
+        let config = EngineConfig {
+            cache_capacity: 2,
+            ..EngineConfig::default().with_eval_budget(1)
+        };
+        let engine = Engine::new(&db, config.clone());
+        let clause = collaborated("x", "y", "p");
+        let e = Tuple::from_strs(&["ann", "bob"]);
+        assert_eq!(engine.try_covers(&clause, &e), CoverageOutcome::Exhausted);
+        let order = engine.plan_order(&clause).expect("plan was compiled");
+        let one_literal = |var: &str| {
+            Clause::new(
+                Atom::vars("collaborated", &["x", "y"]),
+                vec![Atom::vars("publication", &["p", var])],
+            )
+        };
+        engine.covers(&one_literal("x"), &e);
+        // Re-reading the clause keeps it the most recent coverage-cache
+        // entry, so the next insert evicts the other clause instead.
+        assert_eq!(engine.try_covers(&clause, &e), CoverageOutcome::Exhausted);
+        engine.covers(&one_literal("y"), &e);
+        assert_eq!(engine.plan_order(&clause), None, "plan table not cleared");
+        // The memoized exhaustion survives the clear and is served without
+        // a test, and a fresh engine decides the pair the same way.
+        let before = engine.report();
+        assert_eq!(engine.try_covers(&clause, &e), CoverageOutcome::Exhausted);
+        assert_eq!(engine.report().coverage_tests, before.coverage_tests);
+        let fresh = Engine::new(&db, config);
+        assert_eq!(fresh.try_covers(&clause, &e), CoverageOutcome::Exhausted);
+        // Recompiling after the clear picks the same join order: it
+        // depends only on the statistics, which no mutation changed.
+        engine.covers(&clause, &Tuple::from_strs(&["carol", "dan"]));
+        assert_eq!(engine.plan_order(&clause), Some(order));
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! Castor's speed to (Section 7.5.2). The executor then walks the fixed
 //! order with index lookups and never reconsiders it.
 
-use crate::cost::{bound_positions, greedy_order, CostModel, CostModelKind, CostOverrides};
+use crate::cost::{greedy_order, CostModel, CostModelKind};
 use crate::stats::DatabaseStatistics;
 use castor_logic::{Clause, Term};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One step of a compiled plan: which body literal to solve next, and which
 /// of its argument positions are already bound (by the head binding, by a
@@ -23,8 +22,7 @@ pub struct PlanStep {
     pub literal: usize,
     /// Argument positions guaranteed to be bound when this step executes.
     pub bound_positions: Vec<usize>,
-    /// Estimated candidate rows per invocation of this step — the number
-    /// the feedback loop compares against observed rows.
+    /// Estimated candidate rows per invocation of this step.
     pub estimated_rows: f64,
 }
 
@@ -59,13 +57,12 @@ impl ClausePlan {
     }
 
     /// The `(relation, epoch)` stamps for every relation of `atoms` present
-    /// in `stats`, deduplicated in name order. Shared with the batched trie
-    /// planner in [`crate::batch`].
-    pub(crate) fn stamp_epochs<'a, I>(atoms: I, stats: &DatabaseStatistics) -> Vec<(String, u64)>
-    where
-        I: IntoIterator<Item = &'a castor_logic::Atom>,
-    {
-        let names: BTreeSet<&str> = atoms.into_iter().map(|a| a.relation.as_str()).collect();
+    /// in `stats`, deduplicated in name order.
+    fn stamp_epochs(
+        atoms: &[castor_logic::Atom],
+        stats: &DatabaseStatistics,
+    ) -> Vec<(String, u64)> {
+        let names: BTreeSet<&str> = atoms.iter().map(|a| a.relation.as_str()).collect();
         names
             .into_iter()
             .filter_map(|name| stats.epoch_of(name).map(|e| (name.to_string(), e)))
@@ -73,29 +70,21 @@ impl ClausePlan {
     }
 
     /// Compiles a join order for `clause` with the uniform-selectivity
-    /// baseline model and no feedback overrides (convenience wrapper over
-    /// [`ClausePlan::compile_with`], kept for ablations and tests).
+    /// baseline model (convenience wrapper over [`ClausePlan::compile_with`],
+    /// kept for ablations and tests).
     pub fn compile(clause: &Clause, stats: &DatabaseStatistics) -> ClausePlan {
-        ClausePlan::compile_with(
-            clause,
-            stats,
-            CostModelKind::Uniform.model(),
-            &CostOverrides::default(),
-        )
+        ClausePlan::compile_with(clause, stats, CostModelKind::Uniform.model())
     }
 
     /// Compiles a join order for `clause` using greedy cost estimation:
     /// starting from the bound set {head variables ∪ constants}, repeatedly
     /// pick the literal with the smallest estimated candidate count given
     /// the current bound set, then mark its variables bound. Estimates come
-    /// from `model`, except that a matching entry of `overrides` (observed
-    /// rows recorded by the feedback loop under the same access path) beats
-    /// the model.
+    /// from `model`.
     pub fn compile_with(
         clause: &Clause,
         stats: &DatabaseStatistics,
         model: &dyn CostModel,
-        overrides: &CostOverrides,
     ) -> ClausePlan {
         let mut bound: BTreeSet<String> = clause
             .head
@@ -105,13 +94,8 @@ impl ClausePlan {
             .map(str::to_string)
             .collect();
         let atoms: Vec<&castor_logic::Atom> = clause.body.iter().collect();
-        let ordered = greedy_order(&atoms, &mut bound, |lit, atom, borrowed| {
-            let observed = if overrides.is_empty() {
-                None
-            } else {
-                overrides.lookup(lit, &bound_positions(atom, borrowed))
-            };
-            observed.unwrap_or_else(|| model.estimate_atom(atom, borrowed, stats))
+        let ordered = greedy_order(&atoms, &mut bound, |atom, borrowed| {
+            model.estimate_atom(atom, borrowed, stats)
         });
         let estimated_cost = ordered.iter().map(|o| o.estimated_rows).sum();
         let steps = ordered
@@ -128,149 +112,6 @@ impl ClausePlan {
             estimated_cost,
             epochs: ClausePlan::stamp_epochs(&clause.body, stats),
         }
-    }
-}
-
-/// Execution feedback for one compiled plan, recorded by the executor with
-/// relaxed atomics (worker threads share one instance per cached plan): how
-/// many coverage tests the plan ran, and per step how many times it was
-/// invoked and how many candidate rows its index probes actually produced.
-/// The engine compares the observed per-invocation averages against the
-/// plan's [`PlanStep::estimated_rows`] and recompiles — with the observed
-/// numbers as [`CostOverrides`] — once they diverge past the configured
-/// threshold.
-#[derive(Debug)]
-pub struct PlanFeedback {
-    executions: AtomicUsize,
-    invocations: Vec<AtomicUsize>,
-    rows: Vec<AtomicUsize>,
-    /// Execution count the next divergence check is due at — doubled by
-    /// [`PlanFeedback::defer_check`] whenever a check passes, so a hot
-    /// plan whose estimates hold pays one atomic load per fetch instead of
-    /// a full divergence scan.
-    next_check: AtomicUsize,
-    /// Divergence checks passed so far; after the second passing check the
-    /// feedback is *validated* ([`PlanFeedback::is_validated`]) and the
-    /// engine stops handing it to executors — a hot, well-estimated plan
-    /// pays no per-probe atomics at all.
-    passes: AtomicUsize,
-}
-
-impl PlanFeedback {
-    /// Fresh feedback for a plan with `steps` steps.
-    pub fn new(steps: usize) -> Self {
-        PlanFeedback {
-            executions: AtomicUsize::new(0),
-            invocations: (0..steps).map(|_| AtomicUsize::new(0)).collect(),
-            rows: (0..steps).map(|_| AtomicUsize::new(0)).collect(),
-            next_check: AtomicUsize::new(0),
-            passes: AtomicUsize::new(0),
-        }
-    }
-
-    /// Whether a divergence check is due: at least `after` executions have
-    /// been recorded, and the previous check (if any) has been outgrown
-    /// (exponential backoff via [`PlanFeedback::defer_check`]).
-    pub fn check_due(&self, after: usize) -> bool {
-        self.executions.load(Ordering::Relaxed)
-            >= self.next_check.load(Ordering::Relaxed).max(after)
-    }
-
-    /// Defers the next divergence check to double the current execution
-    /// count — called after a check found the estimates holding. The
-    /// second passing check validates the feedback for good.
-    pub fn defer_check(&self) {
-        let executions = self.executions.load(Ordering::Relaxed);
-        self.next_check.store(
-            executions.saturating_mul(2).max(executions + 1),
-            Ordering::Relaxed,
-        );
-        self.passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether the plan's estimates have held through enough divergence
-    /// checks (two, at exponentially spaced sample sizes) that recording
-    /// can stop: the engine hands validated feedback to no further
-    /// executors, removing the shared-atomic traffic from the hot path.
-    /// Data changes recreate the plan entry (epoch invalidation) with
-    /// fresh, unvalidated feedback.
-    pub fn is_validated(&self) -> bool {
-        self.passes.load(Ordering::Relaxed) >= 2
-    }
-
-    /// Counts one execution of the whole plan (one coverage test).
-    pub fn record_execution(&self) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one invocation of step `step` that produced `rows` candidate
-    /// rows.
-    pub fn record_step(&self, step: usize, rows: usize) {
-        if let (Some(inv), Some(total)) = (self.invocations.get(step), self.rows.get(step)) {
-            inv.fetch_add(1, Ordering::Relaxed);
-            total.fetch_add(rows, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of plan executions recorded so far.
-    pub fn executions(&self) -> usize {
-        self.executions.load(Ordering::Relaxed)
-    }
-
-    /// Observed average candidate rows per invocation for each step
-    /// (`None` for steps that never ran).
-    pub fn observed_rows(&self) -> Vec<Option<f64>> {
-        self.invocations
-            .iter()
-            .zip(&self.rows)
-            .map(|(inv, rows)| {
-                let n = inv.load(Ordering::Relaxed);
-                if n == 0 {
-                    None
-                } else {
-                    Some(rows.load(Ordering::Relaxed) as f64 / n as f64)
-                }
-            })
-            .collect()
-    }
-
-    /// The worst estimated-vs-observed divergence factor across the plan's
-    /// steps (`max(observed/estimated, estimated/observed)`, both clamped
-    /// to ≥ 1 row so empty probes do not divide by zero). 1.0 means the
-    /// estimates were spot on; steps with no observations are skipped.
-    /// Allocation-free: runs under the engine's plan-table lock.
-    pub fn divergence(&self, plan: &ClausePlan) -> f64 {
-        self.divergence_by(|step| plan.steps[step].estimated_rows)
-    }
-
-    /// [`PlanFeedback::divergence`] against arbitrary per-step estimates —
-    /// the batch tries share this feedback type with per-step indices that
-    /// are trie-node indices, so their estimates live on the trie nodes
-    /// rather than on [`PlanStep`]s.
-    pub fn divergence_by(&self, estimated_rows: impl Fn(usize) -> f64) -> f64 {
-        let mut worst = 1.0f64;
-        for (step, (inv, rows)) in self.invocations.iter().zip(&self.rows).enumerate() {
-            let n = inv.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            let observed = (rows.load(Ordering::Relaxed) as f64 / n as f64).max(1.0);
-            let estimated = estimated_rows(step).max(1.0);
-            worst = worst.max((observed / estimated).max(estimated / observed));
-        }
-        worst
-    }
-
-    /// The observed averages as [`CostOverrides`] keyed to the plan's
-    /// access paths — what recompilation consults in place of the model.
-    pub fn overrides(&self, plan: &ClausePlan) -> CostOverrides {
-        let mut overrides = CostOverrides::default();
-        for (step, observed) in plan.steps.iter().zip(self.observed_rows()) {
-            if let Some(rows) = observed {
-                overrides.insert(step.literal, step.bound_positions.clone(), rows);
-            }
-        }
-        overrides
     }
 }
 
@@ -412,99 +253,10 @@ mod tests {
             ],
         );
         let stats = skewed_stats();
-        let uniform = ClausePlan::compile_with(
-            &clause,
-            &stats,
-            CostModelKind::Uniform.model(),
-            &CostOverrides::default(),
-        );
+        let uniform = ClausePlan::compile_with(&clause, &stats, CostModelKind::Uniform.model());
         assert_eq!(uniform.steps[0].literal, 0, "uniform should pick skewed");
-        let hist = ClausePlan::compile_with(
-            &clause,
-            &stats,
-            CostModelKind::Histogram.model(),
-            &CostOverrides::default(),
-        );
+        let hist = ClausePlan::compile_with(&clause, &stats, CostModelKind::Histogram.model());
         assert_eq!(hist.steps[0].literal, 1, "histogram should pick flat");
         assert!(hist.steps[0].estimated_rows < hist.steps[1].estimated_rows);
-    }
-
-    #[test]
-    fn overrides_beat_the_model_during_recompilation() {
-        let clause = Clause::new(
-            Atom::vars("t", &["x"]),
-            vec![
-                Atom::vars("skewed", &["x", "y"]),
-                Atom::vars("flat", &["x", "z"]),
-            ],
-        );
-        let stats = skewed_stats();
-        // Observed reality: the skewed probe produced ~300 rows under the
-        // access path [0]; recompiling with the override flips the order
-        // even under the uniform model.
-        let mut overrides = CostOverrides::default();
-        overrides.insert(0, vec![0], 300.0);
-        let plan =
-            ClausePlan::compile_with(&clause, &stats, CostModelKind::Uniform.model(), &overrides);
-        assert_eq!(plan.steps[0].literal, 1);
-    }
-
-    #[test]
-    fn feedback_records_divergence_and_builds_overrides() {
-        let clause = Clause::new(
-            Atom::vars("t", &["x"]),
-            vec![
-                Atom::vars("skewed", &["x", "y"]),
-                Atom::vars("flat", &["x", "z"]),
-            ],
-        );
-        let stats = skewed_stats();
-        let plan = ClausePlan::compile_with(
-            &clause,
-            &stats,
-            CostModelKind::Uniform.model(),
-            &CostOverrides::default(),
-        );
-        let feedback = PlanFeedback::new(plan.steps.len());
-        assert_eq!(feedback.executions(), 0);
-        assert!((feedback.divergence(&plan) - 1.0).abs() < 1e-9);
-        for _ in 0..10 {
-            feedback.record_execution();
-            feedback.record_step(0, 300); // estimated ~2.5, observed 300
-            feedback.record_step(1, 10);
-        }
-        assert_eq!(feedback.executions(), 10);
-        assert!(
-            feedback.divergence(&plan) > 50.0,
-            "divergence {} should flag the skewed step",
-            feedback.divergence(&plan)
-        );
-        let overrides = feedback.overrides(&plan);
-        let replanned =
-            ClausePlan::compile_with(&clause, &stats, CostModelKind::Uniform.model(), &overrides);
-        assert_eq!(replanned.steps[0].literal, 1, "recosted plan must flip");
-        // Out-of-range step records are ignored, not a panic.
-        feedback.record_step(99, 1);
-    }
-
-    #[test]
-    fn divergence_checks_back_off_and_validate() {
-        let feedback = PlanFeedback::new(2);
-        assert!(!feedback.check_due(4), "no executions yet");
-        for _ in 0..4 {
-            feedback.record_execution();
-        }
-        assert!(feedback.check_due(4));
-        assert!(!feedback.is_validated());
-        // A passing check defers the next one to double the executions.
-        feedback.defer_check();
-        assert!(!feedback.check_due(4));
-        for _ in 0..4 {
-            feedback.record_execution();
-        }
-        assert!(feedback.check_due(4));
-        // The second passing check validates for good.
-        feedback.defer_check();
-        assert!(feedback.is_validated());
     }
 }

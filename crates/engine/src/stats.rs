@@ -107,10 +107,6 @@ pub struct EngineStats {
     /// mutated (the epoch check on plan fetch failed); each is followed by
     /// a recompilation against fresh statistics.
     pub plans_invalidated: AtomicUsize,
-    /// Cached plans discarded by *feedback re-planning*: their estimated
-    /// candidate rows diverged from the observed rows past the configured
-    /// threshold, and they were recompiled with the observed numbers.
-    pub plans_recosted: AtomicUsize,
     /// Cached-coverage clauses dropped because they reference a mutated
     /// relation.
     pub cache_clauses_invalidated: AtomicUsize,
@@ -127,12 +123,12 @@ pub struct EngineStats {
     /// Per-candidate suffix evaluations forked off a materialized shared
     /// binding (descents beyond the first live child of a trie node).
     pub batch_suffix_forks: AtomicUsize,
-    /// Shared-prefix tries compiled (batch-plan cache misses).
+    /// Shared-prefix tries compiled (one per sibling group of a batch).
     pub batch_plans_compiled: AtomicUsize,
-    /// Batch evaluations served a cached trie from a previous round.
+    /// Always 0: tries are compiled per batch and never reused. Kept only
+    /// because the benchmark runner reads it.
     pub batch_plan_cache_hits: AtomicUsize,
-    /// Cached tries discarded because a relation they were costed against
-    /// mutated (the epoch check on fetch failed).
+    /// Always 0, like `batch_plan_cache_hits`.
     pub batch_plans_invalidated: AtomicUsize,
 }
 
@@ -169,7 +165,6 @@ impl EngineStats {
             plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plans_invalidated: self.plans_invalidated.load(Ordering::Relaxed),
-            plans_recosted: self.plans_recosted.load(Ordering::Relaxed),
             cache_clauses_invalidated: self.cache_clauses_invalidated.load(Ordering::Relaxed),
             mutation_batches: self.mutation_batches.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -211,9 +206,6 @@ pub struct EngineReport {
     pub plan_cache_hits: usize,
     /// Cached plans discarded by the epoch check after a mutation.
     pub plans_invalidated: usize,
-    /// Cached plans discarded by feedback re-planning (estimates diverged
-    /// from observed rows) and recompiled with observed numbers.
-    pub plans_recosted: usize,
     /// Cached-coverage clauses dropped because a referenced relation mutated.
     pub cache_clauses_invalidated: usize,
     /// Mutation batches applied to the live database.
@@ -226,11 +218,12 @@ pub struct EngineReport {
     pub batch_prefix_hits: usize,
     /// Per-candidate suffix forks off materialized shared bindings.
     pub batch_suffix_forks: usize,
-    /// Shared-prefix tries compiled (batch-plan cache misses).
+    /// Shared-prefix tries compiled (one per sibling group of a batch).
     pub batch_plans_compiled: usize,
-    /// Batch evaluations served a cached trie from a previous round.
+    /// Always 0: tries are compiled per batch and never reused. Kept only
+    /// because the benchmark runner reads it.
     pub batch_plan_cache_hits: usize,
-    /// Cached tries discarded by the epoch check after a mutation.
+    /// Always 0, like `batch_plan_cache_hits`.
     pub batch_plans_invalidated: usize,
 }
 
@@ -251,7 +244,6 @@ impl EngineReport {
             plans_compiled: self.plans_compiled + other.plans_compiled,
             plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
             plans_invalidated: self.plans_invalidated + other.plans_invalidated,
-            plans_recosted: self.plans_recosted + other.plans_recosted,
             cache_clauses_invalidated: self.cache_clauses_invalidated
                 + other.cache_clauses_invalidated,
             mutation_batches: self.mutation_batches + other.mutation_batches,
@@ -296,7 +288,6 @@ impl EngineReport {
             plans_invalidated: self
                 .plans_invalidated
                 .saturating_sub(baseline.plans_invalidated),
-            plans_recosted: self.plans_recosted.saturating_sub(baseline.plans_recosted),
             cache_clauses_invalidated: self
                 .cache_clauses_invalidated
                 .saturating_sub(baseline.cache_clauses_invalidated),
@@ -341,7 +332,7 @@ impl fmt::Display for EngineReport {
             "tests={} cache={}/{} ({:.0}% hit) cross-variant={}hits/{}xl \
              generality-skips={} budget-exhausted={} \
              exhaustions-evicted={} \
-             plans={} (+{} reused, {} recosted) \
+             plans={} (+{} reused) \
              batches={}/{} clauses (prefix-hits={} suffix-forks={}) \
              batch-plans={} (+{} reused) \
              mutations={} (plans-invalidated={} batch-plans-invalidated={} \
@@ -357,7 +348,6 @@ impl fmt::Display for EngineReport {
             self.exhaustions_evicted,
             self.plans_compiled,
             self.plan_cache_hits,
-            self.plans_recosted,
             self.batches,
             self.batch_clauses,
             self.batch_prefix_hits,

@@ -749,7 +749,6 @@ impl Wire for EngineReport {
             self.plans_compiled,
             self.plan_cache_hits,
             self.plans_invalidated,
-            self.plans_recosted,
             self.cache_clauses_invalidated,
             self.mutation_batches,
             self.batches,
@@ -777,7 +776,6 @@ impl Wire for EngineReport {
             plans_compiled: r.get_usize()?,
             plan_cache_hits: r.get_usize()?,
             plans_invalidated: r.get_usize()?,
-            plans_recosted: r.get_usize()?,
             cache_clauses_invalidated: r.get_usize()?,
             mutation_batches: r.get_usize()?,
             batches: r.get_usize()?,

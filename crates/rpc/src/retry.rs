@@ -31,7 +31,6 @@ use castor_relational::{MutationBatch, MutationSummary, Tuple};
 use castor_service::{LearnAlgorithm, ServerReport};
 use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,12 +97,6 @@ pub struct RetryClient {
     /// Decorrelated-jitter state: the previous sleep, and the RNG.
     prev_backoff: Duration,
     rng: u64,
-    /// Shared topology epoch (cluster routing): bumped by the router on
-    /// every membership change. A server's `retry_after_ms` hint observed
-    /// under an older epoch may come from a member that no longer owns
-    /// the shard, so it is capped at the policy's base backoff instead of
-    /// being honored in full. `None` outside a cluster.
-    topology_epoch: Option<Arc<AtomicU64>>,
     obs: Arc<Obs>,
     retries: Arc<Counter>,
     reconnects: Arc<Counter>,
@@ -167,7 +160,6 @@ impl RetryClient {
             // does not matter for correctness (only fault plans need
             // seeds), it just must not be zero for the xorshift step.
             rng: 0x853C_49E6_748F_EA9B,
-            topology_epoch: None,
             obs,
             retries,
             reconnects,
@@ -180,23 +172,6 @@ impl RetryClient {
     pub fn with_jitter_seed(mut self, seed: u64) -> Self {
         self.rng = seed | 1;
         self
-    }
-
-    /// Attaches a shared topology epoch (builder style). A cluster router
-    /// bumps the epoch on every membership change; retry-after hints
-    /// observed before a bump are treated as stale — capped at the
-    /// policy's base backoff instead of honored in full, because they
-    /// describe the queue of a member that may no longer own the shard.
-    pub fn with_topology_epoch(mut self, epoch: Arc<AtomicU64>) -> Self {
-        self.topology_epoch = Some(epoch);
-        self
-    }
-
-    /// The current topology epoch, or 0 when none is attached.
-    fn epoch_now(&self) -> u64 {
-        self.topology_epoch
-            .as_ref()
-            .map_or(0, |e| e.load(Ordering::SeqCst))
     }
 
     /// The wrapper's observability handle: retry/reconnect/exhausted/
@@ -261,7 +236,6 @@ impl RetryClient {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let epoch_before = self.epoch_now();
             let result = match self.ensure_conn() {
                 Ok(client) => op(client),
                 Err(e) => Err(e),
@@ -297,15 +271,9 @@ impl RetryClient {
             }
             self.retries.inc();
             let backoff = self.next_backoff();
-            let epoch_changed = self.epoch_now() != epoch_before;
             // An overloaded server's hint wins over local jitter: clients
-            // must not come back before the queue can have drained. But a
-            // hint observed across a membership change describes a member
-            // that may no longer own the shard, so it is capped at the
-            // base backoff instead of honored in full.
-            std::thread::sleep(rejected_hint.map_or(backoff, |hint| {
-                honored_hint(hint, self.policy.base_backoff, epoch_changed).max(backoff)
-            }));
+            // must not come back before the queue can have drained.
+            std::thread::sleep(rejected_hint.map_or(backoff, |hint| hint.max(backoff)));
         }
     }
 
@@ -324,7 +292,6 @@ impl RetryClient {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let epoch_before = self.epoch_now();
             // Phase 1 (retryable): get a connection. Failures here cannot
             // have sent the request.
             match self.ensure_conn() {
@@ -367,10 +334,7 @@ impl RetryClient {
                     self.retries.inc();
                     let hint = Duration::from_millis(*retry_after_ms);
                     let backoff = self.next_backoff();
-                    let epoch_changed = self.epoch_now() != epoch_before;
-                    std::thread::sleep(
-                        honored_hint(hint, self.policy.base_backoff, epoch_changed).max(backoff),
-                    );
+                    std::thread::sleep(hint.max(backoff));
                 }
                 RpcError::Io(_) | RpcError::Timeout(_) | RpcError::Malformed(_) => {
                     // The request left this process and no authoritative
@@ -488,19 +452,6 @@ impl RetryClient {
     }
 }
 
-/// How much of a server's retry-after hint to honor. A hint observed
-/// across a topology-epoch bump (cluster membership change) is stale —
-/// it described the queue of whatever member owned the shard *before*
-/// the move — so it is capped at the policy's base backoff; a fresh hint
-/// is honored in full.
-fn honored_hint(hint: Duration, base_backoff: Duration, epoch_changed: bool) -> Duration {
-    if epoch_changed {
-        hint.min(base_backoff)
-    } else {
-        hint
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,20 +502,5 @@ mod tests {
         }
         let exposition = client.obs().registry().expose();
         assert!(exposition.contains("castor_client_retry_exhausted_total 1"));
-    }
-
-    #[test]
-    fn stale_hints_are_capped_at_base_after_an_epoch_bump() {
-        let base = Duration::from_millis(10);
-        let hint = Duration::from_millis(5_000);
-        // Same epoch: the overloaded server's hint is honored in full.
-        assert_eq!(honored_hint(hint, base, false), hint);
-        // Epoch bumped mid-attempt: the hint came from a member that may
-        // no longer own the shard — cap it so the retry lands promptly on
-        // the new owner.
-        assert_eq!(honored_hint(hint, base, true), base);
-        // A hint already under base is never *raised* by the cap.
-        let tiny = Duration::from_millis(2);
-        assert_eq!(honored_hint(tiny, base, true), tiny);
     }
 }

@@ -516,11 +516,6 @@ impl Collect for DatabaseCollector {
                 e.plans_compiled,
             ),
             (
-                "castor_engine_plans_recosted_total",
-                "Plans recompiled by feedback re-planning.",
-                e.plans_recosted,
-            ),
-            (
                 "castor_engine_batches_total",
                 "Batched (shared-prefix trie) evaluations executed.",
                 e.batches,

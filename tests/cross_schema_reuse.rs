@@ -4,8 +4,9 @@
 //! and over RPC) while actually reusing work (`cross_variant_hits > 0`
 //! for every variant after the first), and parallel ground-bottom-clause
 //! construction must be bit-identical to sequential — with a measured
-//! speedup where the hardware can show one. The speedup itself is
-//! *measured* by `bench_fig2` (release mode, best-of-N); the wall-clock
+//! speedup where the hardware can show one. The reuse gain is *measured*
+//! by the Criterion bench `engine_cross_schema_reuse` and the thread sweep
+//! by the `figure2_parallelism` bin (release mode); the wall-clock
 //! assertion here is release-only and skips on hosts without enough
 //! cores, the same anti-flake posture as the other speedup guards.
 
