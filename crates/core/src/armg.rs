@@ -45,15 +45,20 @@ pub fn castor_armg(
 /// literal `R2(u2)` with `π_X(u1) = π_X(u2)`; otherwise it is dropped.
 /// Removal cascades until a fixpoint because dropping one literal can orphan
 /// another.
+///
+/// The INDs enforced are the edges of `plan`, not those declared by
+/// `schema` (which is not consulted): a plan compiled with `general_inds`
+/// makes subset INDs requirements too, in both directions.
 pub fn enforce_ind_consistency(clause: &mut Clause, schema: &Schema, plan: &BottomClausePlan) {
     loop {
         let mut to_remove: Option<usize> = None;
         'outer: for (i, literal) in clause.body.iter().enumerate() {
             for edge in plan.edges_of(&literal.relation) {
-                // Only enforce INDs with equality declared by the schema in
-                // both directions; the plan stores each declared IND in both
-                // directions already, so every edge of an equality class is
-                // a requirement.
+                // Every edge the plan holds is a requirement: the plan
+                // stores each IND of its inclusion classes in both
+                // directions, and under `general_inds` those classes
+                // include subset INDs, which are therefore enforced here
+                // as if they were equalities.
                 let partner_exists = clause.body.iter().enumerate().any(|(j, other)| {
                     j != i
                         && other.relation == edge.to_relation

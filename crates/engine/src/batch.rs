@@ -7,11 +7,23 @@
 //! times per search level. A [`BatchPlan`] folds the candidates of one beam
 //! into a *literal trie*: clauses sharing a body prefix share the trie path
 //! for it, so the prefix join executes once per example and each
-//! materialized prefix binding forks into the per-candidate suffixes. The
-//! executor walks the trie depth-first with a binding trail, keeps a live
-//! set of still-undecided candidates to prune exhausted subtrees, and gives
-//! every candidate its own node budget so batched verdicts degrade the same
-//! way per-clause verdicts do.
+//! materialized prefix binding forks into the per-candidate suffixes.
+//!
+//! The executor decides one (root subtree, example) cell at a time, and a
+//! cell's work is proportional to its own subtree, not to the batch:
+//!
+//! * each root numbers its candidates locally ([`BatchNode::slots`]), so
+//!   the per-cell candidate state — live, decided, or idle, plus the
+//!   remaining node budget — is one array sized to the root's subtree;
+//! * head and body arguments are compiled to constants and *registers*,
+//!   so bindings are a register file of tuple-value references with an
+//!   index trail, not a substitution keyed by variable name;
+//! * every candidate keeps its own node budget as a plain counter taken
+//!   from the budget template: a live candidate is charged one node per
+//!   tuple probed at a node on its path, and the template's abort tokens
+//!   (cancel, deadline) are checked once per probed tuple — an abort
+//!   exhausts every live candidate of the cell. Batched verdicts thus
+//!   degrade the same way per-clause verdicts do.
 //!
 //! Sharing is structural: bodies are inserted in clause order (beam
 //! refinement appends literals, so siblings share their parent's body
@@ -21,14 +33,41 @@
 
 use crate::cost::{CostModel, CostModelKind};
 use crate::stats::DatabaseStatistics;
-use castor_logic::evaluation::{bind_head, unify_with_tuple};
-use castor_logic::{Atom, Clause, CoverageOutcome, EvalBudget, Substitution, Term};
+use castor_logic::{Atom, CoverageOutcome, EvalBudget, Term};
 use castor_relational::{DatabaseInstance, Tuple, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A literal argument compiled against the plan's register file.
+#[derive(Debug, Clone, PartialEq)]
+enum Arg {
+    /// A constant the tuple must carry at this position.
+    Const(Value),
+    /// A variable: bound by the first literal on the path that reaches it
+    /// unbound, compared by every later one.
+    Var(usize),
+}
+
+/// Compiles `atom`'s arguments, allocating a register for each variable
+/// not seen before.
+fn compile_args(atom: &Atom, registers: &mut BTreeMap<String, usize>) -> Vec<Arg> {
+    atom.terms
+        .iter()
+        .map(|term| match term {
+            Term::Const(v) => Arg::Const(v.clone()),
+            Term::Var(name) => {
+                let next = registers.len();
+                Arg::Var(*registers.entry(name.clone()).or_insert(next))
+            }
+        })
+        .collect()
+}
 
 /// One trie node: a body literal, the argument positions known to be bound
 /// when the node executes (head bindings, constants, and every ancestor
 /// literal's variables), and the candidates whose bodies end here.
+///
+/// Candidates are identified by their *local position*: an index into the
+/// owning root's [`BatchNode::slots`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchNode {
     /// The body literal this node solves.
@@ -37,13 +76,20 @@ pub struct BatchNode {
     pub bound_positions: Vec<usize>,
     /// Child nodes (next body literals), cheapest estimated probe first.
     pub children: Vec<usize>,
-    /// Candidate slots whose last body literal is this node.
+    /// Local positions of the candidates whose last body literal is this
+    /// node.
     pub accepting: Vec<usize>,
-    /// Every candidate slot in this node's subtree (`accepting` of self and
-    /// all descendants) — the executor's live-set domain.
+    /// Local positions of every candidate in this node's subtree
+    /// (`accepting` of self and all descendants), ascending — the
+    /// executor's live-set domain.
     pub subtree: Vec<usize>,
+    /// On a root: the caller's slot of each local position, ascending (the
+    /// root's `subtree` is `0..slots.len()`). Empty on inner nodes.
+    pub slots: Vec<usize>,
     /// Estimated candidate count for this node's probe (child ordering).
     pub estimated_cost: f64,
+    /// `atom`'s arguments, compiled against the plan's registers.
+    args: Vec<Arg>,
 }
 
 /// A compiled evaluation plan for a set of candidate clauses sharing one
@@ -53,6 +99,9 @@ pub struct BatchNode {
 pub struct BatchPlan {
     /// The canonical head shared by every candidate in the batch.
     pub head: Atom,
+    head_args: Vec<Arg>,
+    /// Size of the register file: distinct variables over head and trie.
+    registers: usize,
     nodes: Vec<BatchNode>,
     /// Top-level trie nodes (first body literals), cheapest first.
     pub roots: Vec<usize>,
@@ -75,6 +124,8 @@ impl BatchPlan {
     /// trie nodes every candidate in the subtree passes through) are
     /// reordered by `model`'s selectivity estimates — the per-clause greedy
     /// order, applied to the shared prefix without breaking sharing.
+    /// Finally each root numbers its candidates locally and every argument
+    /// is compiled to a constant or a register.
     pub fn compile_with(
         head: &Atom,
         bodies: &[(usize, &[Atom])],
@@ -83,6 +134,8 @@ impl BatchPlan {
     ) -> Self {
         let mut plan = BatchPlan {
             head: head.clone(),
+            head_args: Vec::new(),
+            registers: 0,
             nodes: Vec::new(),
             roots: Vec::new(),
             root_accepting: Vec::new(),
@@ -131,7 +184,9 @@ impl BatchPlan {
                             children: Vec::new(),
                             accepting: Vec::new(),
                             subtree: Vec::new(),
+                            slots: Vec::new(),
                             estimated_cost,
+                            args: Vec::new(),
                         });
                         match parent {
                             None => plan.roots.push(idx),
@@ -221,13 +276,17 @@ impl BatchPlan {
         }
     }
 
-    /// Computes subtree slot lists bottom-up and orders every child list by
-    /// estimated probe cost (cheapest first — pure heuristic, the executor
-    /// visits every live child anyway).
+    /// Numbers each root's candidates locally (computing subtree lists
+    /// bottom-up), orders every child list by estimated probe cost
+    /// (cheapest first — pure heuristic, the executor visits every live
+    /// child anyway), and compiles head and body arguments to registers.
     fn finish(&mut self) {
         let roots = self.roots.clone();
-        for root in &roots {
-            self.fill_subtree(*root);
+        for &root in &roots {
+            self.fill_subtree(root);
+            let slots = self.nodes[root].subtree.clone();
+            self.localize(root, &slots);
+            self.nodes[root].slots = slots;
         }
         let mut order: Vec<usize> = roots;
         self.sort_by_cost(&mut order);
@@ -237,8 +296,15 @@ impl BatchPlan {
             self.sort_by_cost(&mut children);
             self.nodes[i].children = children;
         }
+        let mut registers = BTreeMap::new();
+        self.head_args = compile_args(&self.head, &mut registers);
+        for node in &mut self.nodes {
+            node.args = compile_args(&node.atom, &mut registers);
+        }
+        self.registers = registers.len();
     }
 
+    /// Fills `subtree` with the caller's slots, bottom-up.
     fn fill_subtree(&mut self, node: usize) {
         let children = self.nodes[node].children.clone();
         let mut subtree = self.nodes[node].accepting.clone();
@@ -249,6 +315,23 @@ impl BatchPlan {
         subtree.sort_unstable();
         subtree.dedup();
         self.nodes[node].subtree = subtree;
+    }
+
+    /// Rewrites the `accepting` and `subtree` slots under `node` as
+    /// positions in `slots` (its root's ascending slot list). The mapping
+    /// is monotone, so `subtree` stays ascending.
+    fn localize(&mut self, node: usize, slots: &[usize]) {
+        let local = |slot: &mut usize| {
+            *slot = slots
+                .binary_search(slot)
+                .expect("a subtree's slots are its root's");
+        };
+        let entry = &mut self.nodes[node];
+        entry.accepting.iter_mut().for_each(local);
+        entry.subtree.iter_mut().for_each(local);
+        for child in self.nodes[node].children.clone() {
+            self.localize(child, slots);
+        }
     }
 
     fn sort_by_cost(&self, indices: &mut [usize]) {
@@ -275,7 +358,7 @@ impl BatchPlan {
     pub fn slots(&self) -> Vec<usize> {
         let mut out: Vec<usize> = self.root_accepting.clone();
         for &root in &self.roots {
-            out.extend(self.nodes[root].subtree.iter().copied());
+            out.extend(self.nodes[root].slots.iter().copied());
         }
         out.sort_unstable();
         out.dedup();
@@ -310,172 +393,242 @@ impl BatchItemStats {
     }
 }
 
-/// Mutable execution state for one (example, subtree) work item. Slot
-/// arrays are indexed by the caller's slot space.
+/// Where one candidate of a cell stands.
+#[derive(Debug, Clone, Copy)]
+enum SlotState {
+    /// Not asked for by the cell's live mask.
+    Idle,
+    /// Undecided, with this many budget nodes left.
+    Live(usize),
+    /// Decided.
+    Done(CoverageOutcome),
+}
+
+/// Mutable execution state for one (root subtree, example) cell. Every
+/// per-candidate array is indexed by local position in the root's
+/// [`BatchNode::slots`], so the state is sized to the subtree, never to
+/// the batch.
 struct BatchSearch<'a> {
     plan: &'a BatchPlan,
     db: &'a DatabaseInstance,
-    theta: Substitution,
-    trail: Vec<String>,
-    /// `true` while the slot still needs a verdict.
-    live: Vec<bool>,
-    outcomes: Vec<Option<CoverageOutcome>>,
-    budgets: Vec<EvalBudget>,
+    /// The budget template, consulted only for its abort tokens.
+    budget: &'a EvalBudget,
+    /// The value each plan variable is bound to on the current path.
+    registers: Vec<Option<&'a Value>>,
+    /// Registers bound since each choice point, unbound on backtrack.
+    trail: Vec<usize>,
+    /// Index-probe key buffer, reused across probes.
+    key: Vec<Value>,
+    slots: Vec<SlotState>,
     stats: BatchItemStats,
 }
 
 /// Evaluates one root subtree of `plan` against one example: every live
 /// candidate in the subtree gets a [`CoverageOutcome`]. `live` flags (in
-/// slot space) select which candidates this item must decide; slots outside
-/// the subtree are ignored. `budget` is a per-candidate budget *template*
-/// (cloned per slot), so a cancellation token installed on it aborts every
-/// candidate of the item. Returns `(slot, outcome)` pairs plus the item's
+/// the caller's slot space) select which candidates this item must decide;
+/// slots outside the subtree are never read. Each candidate starts with
+/// `budget`'s remaining nodes as its own counter, and an abort token
+/// installed on `budget` aborts every candidate of the item. Returns
+/// `(slot, outcome)` pairs in ascending slot order plus the item's
 /// counters.
-pub fn evaluate_subtree(
-    plan: &BatchPlan,
+pub fn evaluate_subtree<'a>(
+    plan: &'a BatchPlan,
     root: usize,
-    db: &DatabaseInstance,
-    example: &Tuple,
+    db: &'a DatabaseInstance,
+    example: &'a Tuple,
     live: &[bool],
-    budget: &EvalBudget,
+    budget: &'a EvalBudget,
 ) -> (Vec<(usize, CoverageOutcome)>, BatchItemStats) {
-    let subtree = &plan.node(root).subtree;
-    let wanted: Vec<usize> = subtree.iter().copied().filter(|&s| live[s]).collect();
-    if wanted.is_empty() {
+    let root_slots = &plan.node(root).slots;
+    let nodes = budget.remaining();
+    let slots: Vec<SlotState> = root_slots
+        .iter()
+        .map(|&s| {
+            if live[s] {
+                SlotState::Live(nodes)
+            } else {
+                SlotState::Idle
+            }
+        })
+        .collect();
+    let wanted = slots
+        .iter()
+        .filter(|s| matches!(s, SlotState::Live(_)))
+        .count();
+    if wanted == 0 {
         return (Vec::new(), BatchItemStats::default());
     }
-    let mut stats = BatchItemStats {
-        tests: wanted.len(),
-        ..Default::default()
-    };
-    let head_clause = Clause::fact(plan.head.clone());
-    let Some(theta) = bind_head(&head_clause, example) else {
-        // Head cannot bind: nothing in the batch covers this example.
-        return (
-            wanted
-                .into_iter()
-                .map(|s| (s, CoverageOutcome::NotCovered))
-                .collect(),
-            stats,
-        );
-    };
-    let slot_space = live.len();
     let mut search = BatchSearch {
         plan,
         db,
-        theta,
+        budget,
+        registers: vec![None; plan.registers],
         trail: Vec::new(),
-        live: {
-            let mut mask = vec![false; slot_space];
-            for &s in &wanted {
-                mask[s] = true;
-            }
-            mask
-        },
-        outcomes: vec![None; slot_space],
-        budgets: (0..slot_space).map(|_| budget.clone()).collect(),
+        key: Vec::new(),
+        slots,
         stats: BatchItemStats::default(),
     };
-    search.explore(root);
-    stats.absorb(&search.stats);
-    let outcomes = wanted
-        .into_iter()
-        .map(|s| {
-            let outcome = search.outcomes[s].unwrap_or(CoverageOutcome::NotCovered);
+    // A head that cannot bind leaves every candidate not covered. Its
+    // bindings sit below every choice point's trail mark, so they stay
+    // for the whole search.
+    if search.unify(&plan.head_args, example) {
+        search.explore(root);
+    }
+    let mut stats = BatchItemStats {
+        tests: wanted,
+        ..search.stats
+    };
+    let outcomes = root_slots
+        .iter()
+        .zip(&search.slots)
+        .filter_map(|(&slot, state)| {
+            let outcome = match *state {
+                SlotState::Idle => return None,
+                SlotState::Live(_) => CoverageOutcome::NotCovered,
+                SlotState::Done(outcome) => outcome,
+            };
             if outcome.is_exhausted() {
                 stats.budget_exhausted += 1;
             }
-            (s, outcome)
+            Some((slot, outcome))
         })
         .collect();
     (outcomes, stats)
 }
 
-impl BatchSearch<'_> {
+impl<'a> BatchSearch<'a> {
+    fn is_live(&self, position: usize) -> bool {
+        matches!(self.slots[position], SlotState::Live(_))
+    }
+
+    /// Charges one node to every live candidate among `positions`;
+    /// candidates with no node left are exhausted. Returns whether any
+    /// candidate is still live.
+    fn charge(&mut self, positions: &[usize]) -> bool {
+        let mut any_live = false;
+        for &p in positions {
+            match self.slots[p] {
+                SlotState::Live(0) => self.slots[p] = SlotState::Done(CoverageOutcome::Exhausted),
+                SlotState::Live(n) => {
+                    self.slots[p] = SlotState::Live(n - 1);
+                    any_live = true;
+                }
+                SlotState::Idle | SlotState::Done(_) => {}
+            }
+        }
+        any_live
+    }
+
+    /// Exhausts every live candidate of the cell (an abort token fired).
+    fn abort(&mut self) {
+        for state in &mut self.slots {
+            if let SlotState::Live(_) = state {
+                *state = SlotState::Done(CoverageOutcome::Exhausted);
+            }
+        }
+    }
+
+    /// Matches `args` against `tuple`, binding unbound registers (and
+    /// recording them on the trail). On failure, bindings made so far stay
+    /// on the trail for the caller to undo.
+    fn unify(&mut self, args: &[Arg], tuple: &'a Tuple) -> bool {
+        if args.len() != tuple.arity() {
+            return false;
+        }
+        for (arg, value) in args.iter().zip(tuple.values()) {
+            match arg {
+                Arg::Const(c) => {
+                    if c != value {
+                        return false;
+                    }
+                }
+                Arg::Var(r) => match self.registers[*r] {
+                    Some(bound) => {
+                        if bound != value {
+                            return false;
+                        }
+                    }
+                    None => {
+                        self.registers[*r] = Some(value);
+                        self.trail.push(*r);
+                    }
+                },
+            }
+        }
+        true
+    }
+
     /// Depth-first execution of one trie node: probe the index once, then
     /// per candidate tuple fork into the live children. Mirrors the
-    /// per-clause executor's semantics (budget consumed per candidate
+    /// per-clause executor's semantics (one node charged per candidate
     /// tuple, bindings undone through the trail).
     fn explore(&mut self, node_idx: usize) {
-        // Copy the plan reference out of `self` so node borrows do not pin
-        // the whole search state.
+        // Copy the references out of `self` so node and tuple borrows do
+        // not pin the whole search state.
         let plan = self.plan;
+        let db = self.db;
         let node = plan.node(node_idx);
-        let mut live_here: Vec<usize> = node
-            .subtree
-            .iter()
-            .copied()
-            .filter(|&s| self.live[s])
-            .collect();
-        if live_here.is_empty() {
+        let live = node.subtree.iter().filter(|&&p| self.is_live(p)).count();
+        if live == 0 {
             return;
         }
-        let Some(instance) = self.db.relation(&node.atom.relation) else {
+        let Some(instance) = db.relation(&node.atom.relation) else {
             // Unknown relation ⇒ no body through this node is satisfiable;
             // the slots resolve to NotCovered at item end.
             return;
         };
-        let candidates: Vec<&Tuple> = if node.bound_positions.is_empty() {
+        let candidates: Vec<&'a Tuple> = if node.bound_positions.is_empty() {
             instance.iter().collect()
         } else {
-            let key: Vec<Value> = node
-                .bound_positions
-                .iter()
-                .map(|&pos| match &node.atom.terms[pos] {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(name) => match self.theta.get(name) {
-                        Some(Term::Const(v)) => v.clone(),
-                        // The trie guarantees ancestor literals bound it.
-                        _ => unreachable!("trie-bound variable {name} unbound at execution"),
-                    },
-                })
-                .collect();
-            instance.select_on_positions(&node.bound_positions, &key)
+            self.key.clear();
+            for &pos in &node.bound_positions {
+                let value = match &node.args[pos] {
+                    Arg::Const(v) => v,
+                    // The trie guarantees ancestor literals bound it.
+                    Arg::Var(r) => self.registers[*r].expect("trie-bound variable unbound"),
+                };
+                self.key.push(value.clone());
+            }
+            instance.select_on_positions(&node.bound_positions, &self.key)
         };
-        if live_here.len() > 1 {
-            // One probe fed `live_here.len()` candidates.
-            self.stats.prefix_hits += live_here.len() - 1;
+        if live > 1 {
+            // One probe fed `live` candidates.
+            self.stats.prefix_hits += live - 1;
         }
         for tuple in candidates {
+            if self.budget.cancel_pending() {
+                self.abort();
+                return;
+            }
             // Charge the probe of this tuple to every live candidate whose
             // body runs through this node — the same per-tuple accounting
             // the per-clause executor uses.
-            live_here.retain(|&s| self.live[s]);
-            live_here.retain(|&s| {
-                if self.budgets[s].consume() {
-                    true
-                } else {
-                    self.live[s] = false;
-                    self.outcomes[s] = Some(CoverageOutcome::Exhausted);
-                    false
-                }
-            });
-            if live_here.is_empty() {
+            if !self.charge(&node.subtree) {
                 return;
             }
             let mark = self.trail.len();
-            if unify_with_tuple(&node.atom, tuple, &mut self.theta, &mut self.trail) {
-                for &s in &node.accepting {
-                    if self.live[s] {
-                        self.live[s] = false;
-                        self.outcomes[s] = Some(CoverageOutcome::Covered);
+            if self.unify(&node.args, tuple) {
+                for &p in &node.accepting {
+                    if self.is_live(p) {
+                        self.slots[p] = SlotState::Done(CoverageOutcome::Covered);
                     }
                 }
-                let live_children: Vec<usize> = node
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|&c| plan.node(c).subtree.iter().any(|&s| self.live[s]))
-                    .collect();
-                if live_children.len() > 1 {
-                    self.stats.suffix_forks += live_children.len() - 1;
+                // Sibling subtrees are disjoint, so exploring one child
+                // never changes whether a later one is live (short of an
+                // abort, which ends the cell): checking each just before
+                // its descent counts the same forks as checking all of
+                // them up front.
+                let mut descents = 0usize;
+                for &child in &node.children {
+                    if plan.node(child).subtree.iter().any(|&p| self.is_live(p)) {
+                        descents += 1;
+                        self.explore(child);
+                    }
                 }
-                for child in live_children {
-                    self.explore(child);
-                }
+                self.stats.suffix_forks += descents.saturating_sub(1);
             }
-            for name in self.trail.drain(mark..) {
-                self.theta.unbind(&name);
+            for r in self.trail.drain(mark..) {
+                self.registers[r] = None;
             }
         }
     }
@@ -484,6 +637,7 @@ impl BatchSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use castor_logic::Clause;
     use castor_relational::{RelationSymbol, Schema};
 
     fn db() -> DatabaseInstance {
@@ -613,6 +767,123 @@ mod tests {
         );
         assert!(outcomes.iter().all(|(_, o)| o.is_exhausted()));
         assert_eq!(stats.budget_exhausted, 3);
+    }
+
+    /// `t(_0)` with two siblings under the shared root `a(_0, _1)`:
+    /// slot 0 appends `b(_1)`, slot 1 appends `c(_1, _2), d(_2)`. For the
+    /// example `t(x)` the root yields `a(x, v1)`, `a(x, v2)`; `b` holds
+    /// only `v2`; `c` yields three tuples under `v1` and one under `v2`,
+    /// none of whose second values is in `d`. Slot 0 is covered after 3
+    /// charged tuples (both root tuples and `b(v2)`); slot 1 needs 6 (both
+    /// root tuples and the four `c` tuples) to finish as not covered.
+    fn budget_split_plan() -> (DatabaseInstance, BatchPlan) {
+        let mut schema = Schema::new("budget");
+        schema
+            .add_relation(RelationSymbol::new("a", &["k", "v"]))
+            .add_relation(RelationSymbol::new("b", &["v"]))
+            .add_relation(RelationSymbol::new("c", &["v", "w"]))
+            .add_relation(RelationSymbol::new("d", &["w"]));
+        let mut db = DatabaseInstance::empty(&schema);
+        for v in ["v1", "v2"] {
+            db.insert("a", Tuple::from_strs(&["x", v])).unwrap();
+        }
+        db.insert("b", Tuple::from_strs(&["v2"])).unwrap();
+        for (v, w) in [("v1", "w1"), ("v1", "w2"), ("v1", "w3"), ("v2", "w4")] {
+            db.insert("c", Tuple::from_strs(&[v, w])).unwrap();
+        }
+        // More `d` tuples than `c` tuples per `v`, so the chain `c, d`
+        // keeps its order under the cost model.
+        for z in ["z1", "z2", "z3", "z4", "z5"] {
+            db.insert("d", Tuple::from_strs(&[z])).unwrap();
+        }
+        let head = Atom::vars("t", &["_0"]);
+        let root = Atom::vars("a", &["_0", "_1"]);
+        let bodies = vec![
+            vec![root.clone(), Atom::vars("b", &["_1"])],
+            vec![
+                root,
+                Atom::vars("c", &["_1", "_2"]),
+                Atom::vars("d", &["_2"]),
+            ],
+        ];
+        let plan = plan_of(&head, &bodies, &db);
+        (db, plan)
+    }
+
+    #[test]
+    fn node_budget_exhausts_one_sibling_and_lets_the_other_finish() {
+        let (db, plan) = budget_split_plan();
+        assert_eq!(plan.roots.len(), 1);
+        let example = Tuple::from_strs(&["x"]);
+        let run = |nodes: usize| {
+            let (mut outcomes, stats) = evaluate_subtree(
+                &plan,
+                plan.roots[0],
+                &db,
+                &example,
+                &[true, true],
+                &EvalBudget::new(nodes),
+            );
+            outcomes.sort_by_key(|&(slot, _)| slot);
+            let verdicts: Vec<CoverageOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
+            (verdicts, stats)
+        };
+        use CoverageOutcome::{Covered, Exhausted, NotCovered};
+
+        // 3 nodes: exactly enough for slot 0; slot 1 runs dry on the third
+        // `c` tuple under `v1`, so only slot 0 forks off `v2`.
+        let (verdicts, stats) = run(3);
+        assert_eq!(verdicts, vec![Covered, Exhausted]);
+        assert_eq!(stats.budget_exhausted, 1);
+        assert_eq!(stats.tests, 2);
+        assert_eq!(stats.prefix_hits, 1);
+        assert_eq!(stats.suffix_forks, 1);
+
+        // 5 nodes: slot 1 runs dry on `c(v2, w4)`, its sixth tuple.
+        assert_eq!(run(5).0, vec![Covered, Exhausted]);
+
+        // 2 nodes: slot 0 runs dry on `b(v2)`, slot 1 inside `c`.
+        let (verdicts, stats) = run(2);
+        assert_eq!(verdicts, vec![Exhausted, Exhausted]);
+        assert_eq!(stats.budget_exhausted, 2);
+
+        // 6 nodes: both finish; both siblings fork off both root tuples.
+        let (verdicts, stats) = run(6);
+        assert_eq!(verdicts, vec![Covered, NotCovered]);
+        assert_eq!(stats.budget_exhausted, 0);
+        assert_eq!(stats.suffix_forks, 2);
+    }
+
+    #[test]
+    fn cancel_set_before_the_cell_exhausts_every_live_slot() {
+        let db = db();
+        let (head, bodies) = siblings();
+        let plan = plan_of(&head, &bodies, &db);
+        let example = Tuple::from_strs(&["ann", "bob"]);
+        let live = [true, false, true];
+        let (_, ample) = evaluate_subtree(
+            &plan,
+            plan.roots[0],
+            &db,
+            &example,
+            &live,
+            &EvalBudget::new(10_000),
+        );
+        let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let (outcomes, stats) = evaluate_subtree(
+            &plan,
+            plan.roots[0],
+            &db,
+            &example,
+            &live,
+            &EvalBudget::with_cancel(10_000, token),
+        );
+        let mut slots: Vec<usize> = outcomes.iter().map(|&(s, _)| s).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, vec![0, 2]);
+        assert!(outcomes.iter().all(|(_, o)| o.is_exhausted()));
+        assert_eq!(stats.budget_exhausted, 2);
+        assert_eq!(stats.tests, ample.tests);
     }
 
     #[test]

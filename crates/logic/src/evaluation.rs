@@ -111,8 +111,11 @@ impl EvalBudget {
 
     /// Consumes one node; returns `false` (and records exhaustion) when the
     /// budget has run out or an abort token (cancel or deadline) was set.
-    /// Public so alternative executors (the compiled plans of
-    /// `castor-engine`) share the same accounting.
+    /// Public so `castor-engine`'s per-clause plan executor shares the same
+    /// accounting. Its batched trie executor does not call it: it keeps one
+    /// plain counter per candidate, starting from the template's
+    /// [`EvalBudget::remaining`], and polls [`EvalBudget::cancel_pending`]
+    /// once per probed tuple.
     pub fn consume(&mut self) -> bool {
         let tripped = |token: &Option<std::sync::Arc<std::sync::atomic::AtomicBool>>| {
             token

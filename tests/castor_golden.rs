@@ -4,9 +4,10 @@
 //!   tests and the engine's budget-exhaustion count on the fold-0 training
 //!   split of each of the four schema variants.
 //! * FOIL: the learned definition, the engine's coverage tests, batched
-//!   sibling groups and shared-prefix hits on both training splits of each
-//!   variant, with the parameters of the benchmark's `foil-uwcse` workload
-//!   (constants allowed, one thread).
+//!   sibling groups, shared-prefix hits, suffix forks and budget
+//!   exhaustions on both training splits of each variant, with the
+//!   parameters of the benchmark's `foil-uwcse` workload (constants
+//!   allowed, one thread).
 //!
 //! The values are pinned so that a refactor of the learning path (the
 //! subsumption kernel, coverage engine, reduction or minimization) cannot
@@ -84,8 +85,19 @@ fn castor_uwcse_fold0_is_pinned() {
 }
 
 /// `(variant, fold, learned definition, coverage tests, batches, batch
-/// prefix hits)`.
-const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
+/// prefix hits, batch suffix forks, budget exhaustions)`.
+type FoilGolden = (
+    &'static str,
+    usize,
+    &'static str,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+);
+
+const FOIL_GOLDEN: [FoilGolden; 8] = [
     (
         "Original",
         0,
@@ -98,6 +110,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         97467,
         4,
         85062,
+        32866,
+        0,
     ),
     (
         "4NF",
@@ -111,6 +125,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         172803,
         6,
         170980,
+        44090,
+        0,
     ),
     (
         "Denormalized-1",
@@ -124,6 +140,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         243706,
         6,
         248105,
+        65605,
+        0,
     ),
     (
         "Denormalized-2",
@@ -137,6 +155,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         344228,
         6,
         357545,
+        96133,
+        0,
     ),
     (
         "Original",
@@ -148,6 +168,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         132944,
         7,
         154525,
+        27823,
+        0,
     ),
     (
         "4NF",
@@ -159,6 +181,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         184521,
         7,
         218736,
+        40105,
+        0,
     ),
     (
         "Denormalized-1",
@@ -170,6 +194,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         220695,
         7,
         270543,
+        47640,
+        0,
     ),
     (
         "Denormalized-2",
@@ -178,6 +204,8 @@ const FOIL_GOLDEN: [(&str, usize, &str, usize, usize, usize); 8] = [
         504946,
         6,
         899360,
+        299485,
+        0,
     ),
 ];
 
@@ -206,12 +234,15 @@ fn foil_uwcse_is_pinned() {
                 report.coverage_tests,
                 report.batches,
                 report.batch_prefix_hits,
+                report.batch_suffix_forks,
+                report.budget_exhausted,
             ));
         }
     }
-    let golden: Vec<(String, usize, String, usize, usize, usize)> = FOIL_GOLDEN
+    type Row = (String, usize, String, usize, usize, usize, usize, usize);
+    let golden: Vec<Row> = FOIL_GOLDEN
         .iter()
-        .map(|&(n, f, d, t, b, p)| (n.to_string(), f, d.to_string(), t, b, p))
+        .map(|&(n, f, d, t, b, p, s, e)| (n.to_string(), f, d.to_string(), t, b, p, s, e))
         .collect();
     assert_eq!(learned, golden);
 }

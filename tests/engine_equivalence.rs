@@ -7,9 +7,10 @@
 use castor_datasets::synthetic::{random_definition, RandomDefinitionConfig};
 use castor_datasets::uwcse;
 use castor_engine::{CostModelKind, Engine, EngineConfig, Prior};
-use castor_logic::{covers_example, Clause};
+use castor_logic::{covers_example, Atom, Clause, Term};
 use castor_relational::{DatabaseInstance, Schema, Tuple, Value};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -323,5 +324,110 @@ fn generality_prior_never_invents_coverage() {
             with_prior, from_scratch,
             "prior changed semantics on `{child}`"
         );
+    }
+}
+
+/// A random body literal over `schema`: variables are drawn from `vars`
+/// (growing it when a fresh one is picked), with an occasional constant.
+fn random_literal(schema: &Schema, vars: &mut Vec<String>, rng: &mut StdRng) -> Atom {
+    let relations: Vec<_> = schema.relations().collect();
+    let relation = relations[rng.gen_range(0..relations.len())];
+    let terms = (0..relation.arity())
+        .map(|_| {
+            if rng.gen_bool(0.15) {
+                Term::constant(format!("c{}", rng.gen_range(0..12)))
+            } else if rng.gen_bool(0.3) {
+                let fresh = format!("z{}", vars.len());
+                vars.push(fresh.clone());
+                Term::var(fresh)
+            } else {
+                Term::var(vars[rng.gen_range(0..vars.len())].clone())
+            }
+        })
+        .collect();
+    Atom::new(relation.name(), terms)
+}
+
+/// A shuffled beam over several head groups: per head, a few parent bodies
+/// (distinct first literals, hence distinct trie roots) each with a handful
+/// of siblings that append one literal, as beam refinement produces them.
+/// The shuffle interleaves the slots of different roots and head groups.
+fn random_multi_root_beam(schema: &Schema, rng: &mut StdRng) -> Vec<Clause> {
+    let heads = [
+        Atom::vars("target", &["x", "y"]),
+        Atom::vars("target", &["x", "x"]),
+        Atom::new("target", vec![Term::var("x"), Term::constant("c3")]),
+        Atom::vars("other", &["x", "y"]),
+    ];
+    let mut beam = Vec::new();
+    for head in &heads {
+        for _ in 0..3 {
+            let mut vars: Vec<String> = head.variables().into_iter().collect();
+            let parent: Vec<Atom> = (0..rng.gen_range(1..=2))
+                .map(|_| random_literal(schema, &mut vars, rng))
+                .collect();
+            beam.push(Clause::new(head.clone(), parent.clone()));
+            for _ in 0..rng.gen_range(2..=4) {
+                let mut sibling_vars = vars.clone();
+                let mut body = parent.clone();
+                body.push(random_literal(schema, &mut sibling_vars, rng));
+                beam.push(Clause::new(head.clone(), body));
+            }
+        }
+    }
+    beam.shuffle(rng);
+    beam
+}
+
+#[test]
+fn batched_verdicts_hold_across_roots_with_sparse_live_masks() {
+    // Each trie root decides only its own candidates, through a local
+    // numbering of the batch's slots. Interleaved slots (shuffled beams
+    // over several heads and roots) and sparse per-example live masks
+    // (most pairs already answered by the memo cache) must still land
+    // every verdict on the right (clause, example) pair.
+    let schema = schema();
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(8000 + seed);
+        let db = random_instance(&schema, 25, &mut rng);
+        let beam = random_multi_root_beam(&schema, &mut rng);
+        let examples = random_examples(2, 24, &mut rng);
+        for threads in [1, 2] {
+            let engine = Engine::new(&db, EngineConfig::default().with_threads(threads));
+            // Warm the cache with about two thirds of the pairs, so each
+            // example leaves a different sparse set of slots to the trie.
+            for clause in &beam {
+                let warm: Vec<Tuple> = examples
+                    .iter()
+                    .filter(|_| rng.gen_bool(0.65))
+                    .cloned()
+                    .collect();
+                engine.covered_set(clause, &warm, Prior::None);
+            }
+            let before = engine.report();
+            let sets = engine.covered_sets_batch(&beam, &examples);
+            let after = engine.report();
+            assert!(
+                after.batches > before.batches,
+                "seed {seed}: no trie group formed"
+            );
+            assert!(
+                after.coverage_tests > before.coverage_tests,
+                "seed {seed}: the batch ran no test of its own"
+            );
+            assert_eq!(after.budget_exhausted, 0, "budget too small for test db");
+            for (clause, set) in beam.iter().zip(&sets) {
+                let reference: HashSet<Tuple> = examples
+                    .iter()
+                    .filter(|e| covers_example(clause, &db, e))
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    set, &reference,
+                    "seed {seed}, {threads} threads: batch diverged from \
+                     covers_example on `{clause}`"
+                );
+            }
+        }
     }
 }

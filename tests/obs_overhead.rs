@@ -32,9 +32,17 @@ fn default_instrumentation_stays_within_five_percent() {
     assert!(enabled.obs().enabled(), "default handle must instrument");
     assert!(!disabled.obs().enabled());
 
+    // Each timed sample is two identical batch passes, so a sample stays
+    // well above the 5 ms floor below now that one pass of the batched
+    // coverage path takes about 6 ms unoptimized; the per-pass work is
+    // unchanged.
+    const PASSES: usize = 2;
     let run = |engine: &Engine| {
         let start = Instant::now();
-        let sets = engine.covered_sets_batch(&workload.beam, &workload.examples);
+        let mut sets = Vec::new();
+        for _ in 0..PASSES {
+            sets = engine.covered_sets_batch(&workload.beam, &workload.examples);
+        }
         (start.elapsed(), sets)
     };
 
