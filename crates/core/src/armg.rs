@@ -13,30 +13,26 @@
 
 use crate::plan::BottomClausePlan;
 use castor_engine::Engine;
-use castor_learners::progolem::blocking_atom_index;
-use castor_logic::{Atom, Clause, Term};
-use castor_relational::Schema;
+use castor_logic::{Atom, Clause};
 
 /// Castor's ARMG: generalizes `clause` to cover `example`, enforcing IND
 /// consistency after every blocking-atom removal. Returns `None` when the
-/// head cannot match the example at all. Prefix coverage tests go through
-/// the evaluation engine, so overlapping armg calls share cached results.
+/// head cannot match the example at all. The loop is [`Engine::armg`]:
+/// prefix coverage tests go through the evaluation engine, so overlapping
+/// armg calls share cached results, and each blocking-atom scan resumes at
+/// the first body position the last removal (and its IND cascade)
+/// changed.
 pub fn castor_armg(
     clause: &Clause,
     engine: &Engine,
     plan: &BottomClausePlan,
     example: &castor_relational::Tuple,
 ) -> Option<Clause> {
-    let mut current = clause.clone();
-    loop {
-        if engine.covers(&current, example) {
-            return Some(current);
-        }
-        let blocking = blocking_atom_index(&current, engine, example)?;
+    engine.armg(clause, example, |current, blocking| {
         current.body.remove(blocking);
-        enforce_ind_consistency(&mut current, engine.snapshot().schema(), plan);
+        enforce_ind_consistency(current, plan);
         current.remove_unconnected();
-    }
+    })
 }
 
 /// Removes body literals whose free tuples violate an IND with equality of
@@ -44,55 +40,63 @@ pub fn castor_armg(
 /// `R1(u1)` participating in IND `R1[X] = R2[X]` must be joined by some
 /// literal `R2(u2)` with `π_X(u1) = π_X(u2)`; otherwise it is dropped.
 /// Removal cascades until a fixpoint because dropping one literal can orphan
-/// another.
+/// another. Dropping a literal never gives another one a partner, so the
+/// literals that survive are the largest subset of the body in which every
+/// literal has its partners, whatever order the orphans are found in; the
+/// sweeps below find them without rebuilding the body per removal.
 ///
-/// The INDs enforced are the edges of `plan`, not those declared by
-/// `schema` (which is not consulted): a plan compiled with `general_inds`
-/// makes subset INDs requirements too, in both directions.
-pub fn enforce_ind_consistency(clause: &mut Clause, schema: &Schema, plan: &BottomClausePlan) {
-    loop {
-        let mut to_remove: Option<usize> = None;
-        'outer: for (i, literal) in clause.body.iter().enumerate() {
-            for edge in plan.edges_of(&literal.relation) {
-                // Every edge the plan holds is a requirement: the plan
-                // stores each IND of its inclusion classes in both
-                // directions, and under `general_inds` those classes
-                // include subset INDs, which are therefore enforced here
-                // as if they were equalities.
-                let partner_exists = clause.body.iter().enumerate().any(|(j, other)| {
+/// The INDs enforced are the edges of `plan`: a plan compiled with
+/// `general_inds` makes subset INDs requirements too, in both directions.
+pub fn enforce_ind_consistency(clause: &mut Clause, plan: &BottomClausePlan) {
+    let body = &clause.body;
+    let mut kept = vec![true; body.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, literal) in body.iter().enumerate() {
+            if !kept[i] {
+                continue;
+            }
+            // Every edge the plan holds is a requirement: the plan stores
+            // each IND of its inclusion classes in both directions, and
+            // under `general_inds` those classes include subset INDs, which
+            // are therefore enforced here as if they were equalities. A
+            // literal may satisfy the IND through itself when the IND is
+            // self-referential; that does not occur in the benchmark
+            // schemas, so a missing partner means removal.
+            let orphaned = plan.edges_of(&literal.relation).iter().any(|edge| {
+                !body.iter().enumerate().any(|(j, other)| {
                     j != i
+                        && kept[j]
                         && other.relation == edge.to_relation
-                        && project_terms(literal, &edge.from_positions)
-                            == project_terms(other, &edge.to_positions)
-                });
-                if !partner_exists {
-                    // A literal may satisfy the IND through itself when the
-                    // IND is self-referential; that does not occur in the
-                    // benchmark schemas, so a missing partner means removal.
-                    to_remove = Some(i);
-                    break 'outer;
-                }
+                        && joins(literal, &edge.from_positions, other, &edge.to_positions)
+                })
+            });
+            if orphaned {
+                kept[i] = false;
+                changed = true;
             }
-        }
-        match to_remove {
-            Some(i) => {
-                clause.body.remove(i);
-            }
-            None => break,
         }
     }
-    let _ = schema;
+    let mut kept = kept.into_iter();
+    clause.body.retain(|_| kept.next().unwrap_or(true));
 }
 
-fn project_terms<'a>(atom: &'a Atom, positions: &[usize]) -> Vec<&'a Term> {
-    positions.iter().map(|&p| &atom.terms[p]).collect()
+/// Whether `a` projected on `a_positions` equals `b` projected on
+/// `b_positions`.
+fn joins(a: &Atom, a_positions: &[usize], b: &Atom, b_positions: &[usize]) -> bool {
+    a_positions.len() == b_positions.len()
+        && a_positions
+            .iter()
+            .zip(b_positions)
+            .all(|(&p, &q)| a.terms[p] == b.terms[q])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use castor_engine::EngineConfig;
-    use castor_logic::covers_example;
+    use castor_logic::{covers_example, Term};
     use castor_relational::{DatabaseInstance, InclusionDependency, RelationSymbol, Schema, Tuple};
 
     /// Original UW-CSE fragment with INDs with equality among the student
@@ -188,7 +192,7 @@ mod tests {
                 Atom::vars("yearsInProgram", &["x", "y"]),
             ],
         );
-        enforce_ind_consistency(&mut clause, db.schema(), &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 3);
     }
 
@@ -206,7 +210,7 @@ mod tests {
                 Atom::vars("yearsInProgram", &["x", "y"]),
             ],
         );
-        enforce_ind_consistency(&mut clause, db.schema(), &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 0);
     }
 
@@ -231,7 +235,7 @@ mod tests {
             Atom::vars("t", &["x"]),
             vec![Atom::vars("publication", &["p", "x"])],
         );
-        enforce_ind_consistency(&mut clause, &schema, &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 1);
     }
 }

@@ -117,10 +117,10 @@ impl BottomClausePlan {
         let Some(instance) = db.relation(&edge.to_relation) else {
             return Vec::new();
         };
-        let key: Vec<Value> = edge
+        let key: Vec<&Value> = edge
             .from_positions
             .iter()
-            .map(|&p| probe.value(p).clone())
+            .map(|&p| probe.value(p))
             .collect();
         let mut out: Vec<&Tuple> = if self.use_indexes {
             instance.select_on_positions(&edge.to_positions, &key)
@@ -131,7 +131,7 @@ impl BottomClausePlan {
                     edge.to_positions
                         .iter()
                         .zip(key.iter())
-                        .all(|(&p, v)| t.value(p) == v)
+                        .all(|(&p, &v)| t.value(p) == v)
                 })
                 .collect()
         };

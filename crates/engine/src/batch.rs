@@ -32,35 +32,11 @@
 //! beams.
 
 use crate::cost::{CostModel, CostModelKind};
+use crate::executor::{Arg, ArgCompiler, Bindings};
 use crate::stats::DatabaseStatistics;
 use castor_logic::{Atom, CoverageOutcome, EvalBudget, Term};
 use castor_relational::{DatabaseInstance, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// A literal argument compiled against the plan's register file.
-#[derive(Debug, Clone, PartialEq)]
-enum Arg {
-    /// A constant the tuple must carry at this position.
-    Const(Value),
-    /// A variable: bound by the first literal on the path that reaches it
-    /// unbound, compared by every later one.
-    Var(usize),
-}
-
-/// Compiles `atom`'s arguments, allocating a register for each variable
-/// not seen before.
-fn compile_args(atom: &Atom, registers: &mut BTreeMap<String, usize>) -> Vec<Arg> {
-    atom.terms
-        .iter()
-        .map(|term| match term {
-            Term::Const(v) => Arg::Const(v.clone()),
-            Term::Var(name) => {
-                let next = registers.len();
-                Arg::Var(*registers.entry(name.clone()).or_insert(next))
-            }
-        })
-        .collect()
-}
+use std::collections::BTreeSet;
 
 /// One trie node: a body literal, the argument positions known to be bound
 /// when the node executes (head bindings, constants, and every ancestor
@@ -88,7 +64,8 @@ pub struct BatchNode {
     pub slots: Vec<usize>,
     /// Estimated candidate count for this node's probe (child ordering).
     pub estimated_cost: f64,
-    /// `atom`'s arguments, compiled against the plan's registers.
+    /// `atom`'s arguments, compiled against the plan's registers and
+    /// constant pool.
     args: Vec<Arg>,
 }
 
@@ -102,6 +79,8 @@ pub struct BatchPlan {
     head_args: Vec<Arg>,
     /// Size of the register file: distinct variables over head and trie.
     registers: usize,
+    /// The constants the compiled arguments refer to.
+    constants: Vec<Value>,
     nodes: Vec<BatchNode>,
     /// Top-level trie nodes (first body literals), cheapest first.
     pub roots: Vec<usize>,
@@ -136,6 +115,7 @@ impl BatchPlan {
             head: head.clone(),
             head_args: Vec::new(),
             registers: 0,
+            constants: Vec::new(),
             nodes: Vec::new(),
             roots: Vec::new(),
             root_accepting: Vec::new(),
@@ -296,12 +276,12 @@ impl BatchPlan {
             self.sort_by_cost(&mut children);
             self.nodes[i].children = children;
         }
-        let mut registers = BTreeMap::new();
-        self.head_args = compile_args(&self.head, &mut registers);
+        let mut args = ArgCompiler::default();
+        self.head_args = args.compile(&self.head);
         for node in &mut self.nodes {
-            node.args = compile_args(&node.atom, &mut registers);
+            node.args = args.compile(&node.atom);
         }
-        self.registers = registers.len();
+        (self.registers, self.constants) = args.finish();
     }
 
     /// Fills `subtree` with the caller's slots, bottom-up.
@@ -413,12 +393,8 @@ struct BatchSearch<'a> {
     db: &'a DatabaseInstance,
     /// The budget template, consulted only for its abort tokens.
     budget: &'a EvalBudget,
-    /// The value each plan variable is bound to on the current path.
-    registers: Vec<Option<&'a Value>>,
-    /// Registers bound since each choice point, unbound on backtrack.
-    trail: Vec<usize>,
-    /// Index-probe key buffer, reused across probes.
-    key: Vec<Value>,
+    /// The register file of the current path.
+    bindings: Bindings<'a>,
     slots: Vec<SlotState>,
     stats: BatchItemStats,
 }
@@ -462,16 +438,14 @@ pub fn evaluate_subtree<'a>(
         plan,
         db,
         budget,
-        registers: vec![None; plan.registers],
-        trail: Vec::new(),
-        key: Vec::new(),
+        bindings: Bindings::new(plan.registers, &plan.constants),
         slots,
         stats: BatchItemStats::default(),
     };
     // A head that cannot bind leaves every candidate not covered. Its
     // bindings sit below every choice point's trail mark, so they stay
     // for the whole search.
-    if search.unify(&plan.head_args, example) {
+    if search.bindings.unify(&plan.head_args, example) {
         search.explore(root);
     }
     let mut stats = BatchItemStats {
@@ -528,36 +502,6 @@ impl<'a> BatchSearch<'a> {
         }
     }
 
-    /// Matches `args` against `tuple`, binding unbound registers (and
-    /// recording them on the trail). On failure, bindings made so far stay
-    /// on the trail for the caller to undo.
-    fn unify(&mut self, args: &[Arg], tuple: &'a Tuple) -> bool {
-        if args.len() != tuple.arity() {
-            return false;
-        }
-        for (arg, value) in args.iter().zip(tuple.values()) {
-            match arg {
-                Arg::Const(c) => {
-                    if c != value {
-                        return false;
-                    }
-                }
-                Arg::Var(r) => match self.registers[*r] {
-                    Some(bound) => {
-                        if bound != value {
-                            return false;
-                        }
-                    }
-                    None => {
-                        self.registers[*r] = Some(value);
-                        self.trail.push(*r);
-                    }
-                },
-            }
-        }
-        true
-    }
-
     /// Depth-first execution of one trie node: probe the index once, then
     /// per candidate tuple fork into the live children. Mirrors the
     /// per-clause executor's semantics (one node charged per candidate
@@ -577,20 +521,11 @@ impl<'a> BatchSearch<'a> {
             // the slots resolve to NotCovered at item end.
             return;
         };
-        let candidates: Vec<&'a Tuple> = if node.bound_positions.is_empty() {
-            instance.iter().collect()
-        } else {
-            self.key.clear();
-            for &pos in &node.bound_positions {
-                let value = match &node.args[pos] {
-                    Arg::Const(v) => v,
-                    // The trie guarantees ancestor literals bound it.
-                    Arg::Var(r) => self.registers[*r].expect("trie-bound variable unbound"),
-                };
-                self.key.push(value.clone());
-            }
-            instance.select_on_positions(&node.bound_positions, &self.key)
-        };
+        // The trie guarantees ancestor literals bound every variable of
+        // the bound positions.
+        let candidates = self
+            .bindings
+            .probe(instance, &node.bound_positions, &node.args);
         if live > 1 {
             // One probe fed `live` candidates.
             self.stats.prefix_hits += live - 1;
@@ -606,8 +541,8 @@ impl<'a> BatchSearch<'a> {
             if !self.charge(&node.subtree) {
                 return;
             }
-            let mark = self.trail.len();
-            if self.unify(&node.args, tuple) {
+            let mark = self.bindings.mark();
+            if self.bindings.unify(&node.args, tuple) {
                 for &p in &node.accepting {
                     if self.is_live(p) {
                         self.slots[p] = SlotState::Done(CoverageOutcome::Covered);
@@ -627,9 +562,7 @@ impl<'a> BatchSearch<'a> {
                 }
                 self.stats.suffix_forks += descents.saturating_sub(1);
             }
-            for r in self.trail.drain(mark..) {
-                self.registers[r] = None;
-            }
+            self.bindings.undo(mark);
         }
     }
 }

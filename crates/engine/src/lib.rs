@@ -34,7 +34,6 @@ pub mod batch;
 pub mod cache;
 pub mod cost;
 pub mod executor;
-pub mod fx;
 pub mod plan;
 pub mod pool;
 pub mod stats;
@@ -43,6 +42,7 @@ pub use arena::{CacheArena, CacheBinding, ClauseLens, RelationLens};
 pub use batch::{BatchItemStats, BatchPlan};
 pub use cache::{canonicalize, CoverageCache, EXHAUSTION_STRIKE_LIMIT};
 pub use castor_logic::{CoverageOutcome, EvalBudget, DEFAULT_EVAL_NODE_BUDGET};
+pub use castor_relational::fx;
 pub use cost::{CostModel, CostModelKind, HistogramCost, UniformCost};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use plan::{ClausePlan, PlanStep};
@@ -1180,6 +1180,76 @@ impl Engine {
             .is_covered()
     }
 
+    /// The asymmetric relative minimal generalization of `clause` towards
+    /// `example`, the loop shared by ProGolem's armg (Algorithm 3) and
+    /// Castor's IND-aware armg (Algorithm 4): while the clause does not
+    /// cover the example, find its *blocking atom* — the least `i` such that
+    /// the prefix clause `head ← L1, …, L(i+1)` does not cover it — and let
+    /// `remove(clause, i)` drop that literal together with whatever else
+    /// the caller's operator drops with it. Returns the first clause that
+    /// covers the example, or `None` when not even the empty-bodied clause
+    /// does (the head cannot bind to the example).
+    ///
+    /// Each blocking-atom scan resumes where the clause last changed
+    /// instead of restarting at the empty prefix: the prefixes before the
+    /// first body position the last removal changed are the same clauses
+    /// the previous scan proved covering. Prefixes are cut from the
+    /// clause's canonical form — variables are numbered by first
+    /// occurrence, so a prefix's canonical form is a prefix of the
+    /// clause's — which is computed once per removal. The verdicts, and
+    /// the tests actually run, are those of restarting every scan at the
+    /// empty prefix: the prefixes skipped are the ones such a scan would
+    /// find in the coverage cache (a scan restarted without the cache
+    /// re-tests them). The whole loop holds the evaluation gate, so no
+    /// mutation can invalidate a proven prefix mid-loop; `remove` must not
+    /// call back into the engine.
+    pub fn armg(
+        &self,
+        clause: &Clause,
+        example: &Tuple,
+        mut remove: impl FnMut(&mut Clause, usize),
+    ) -> Option<Clause> {
+        let _gate = self.read_gate();
+        let covers = |canonical: &Clause| {
+            self.runtime
+                .try_covers(self, canonical, example)
+                .is_covered()
+        };
+        let mut current = clause.clone();
+        let mut canonical = canonicalize(&current);
+        // Prefixes with fewer than `proven` body literals cover the example.
+        let mut proven = 0;
+        loop {
+            if covers(&canonical) {
+                return Some(current);
+            }
+            let body = &canonical.body;
+            let mut len = proven.min(body.len());
+            let mut prefix = Clause::new(canonical.head.clone(), body[..len].to_vec());
+            let failing = loop {
+                if !covers(&prefix) {
+                    break len;
+                }
+                if len == body.len() {
+                    return None;
+                }
+                prefix.body.push(body[len].clone());
+                len += 1;
+            };
+            // The empty prefix failing means the head cannot bind.
+            let blocking = failing.checked_sub(1)?;
+            remove(&mut current, blocking);
+            let next = canonicalize(&current);
+            let unchanged = body
+                .iter()
+                .zip(&next.body)
+                .take_while(|(a, b)| a == b)
+                .count();
+            proven = unchanged.min(blocking) + 1;
+            canonical = next;
+        }
+    }
+
     /// The subset of `examples` covered by `clause`. `prior` feeds the
     /// generality order: examples covered by a clause this one generalizes
     /// are accepted without a test. Pending examples are spread over the
@@ -1518,7 +1588,7 @@ impl CoverageTester for Engine {
         let db = self.snapshot();
         let mut budget = self.budget_template();
         let plan = self.plan_for(canonical, &self.statistics());
-        let outcome = executor::covers_with_plan(canonical, &plan, &db, example, &mut budget);
+        let outcome = executor::covers_with_plan(&plan, &db, example, &mut budget);
         if outcome.is_exhausted() {
             EngineStats::bump(&metrics.budget_exhausted);
         }
@@ -1532,15 +1602,13 @@ impl CoverageTester for Engine {
     ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static> {
         let db = self.snapshot();
         let metrics = Arc::clone(self.runtime.metrics());
-        let clause = canonical.clone();
         let budget = self.budget_template();
         let examples = Arc::clone(examples);
         let plan = self.plan_for(canonical, &self.statistics());
         Box::new(move |i| {
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome =
-                executor::covers_with_plan(&clause, &plan, &db, &examples[i], &mut node_budget);
+            let outcome = executor::covers_with_plan(&plan, &db, &examples[i], &mut node_budget);
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -1557,7 +1625,6 @@ impl CoverageTester for Engine {
         let db = self.snapshot();
         let metrics = Arc::clone(self.runtime.metrics());
         let budget = self.budget_template();
-        let canonicals = Arc::clone(canonicals);
         let examples = Arc::clone(examples);
         let pairs = Arc::clone(pairs);
         let stats = self.statistics();
@@ -1569,13 +1636,8 @@ impl CoverageTester for Engine {
             let (slot, ei) = pairs[i];
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome = executor::covers_with_plan(
-                &canonicals[slot],
-                &plans[slot],
-                &db,
-                &examples[ei],
-                &mut node_budget,
-            );
+            let outcome =
+                executor::covers_with_plan(&plans[slot], &db, &examples[ei], &mut node_budget);
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }

@@ -9,8 +9,10 @@
 //! order with index lookups and never reconsiders it.
 
 use crate::cost::{greedy_order, CostModel, CostModelKind};
+use crate::executor::{Arg, ArgCompiler};
 use crate::stats::DatabaseStatistics;
 use castor_logic::{Clause, Term};
+use castor_relational::Value;
 use std::collections::BTreeSet;
 
 /// One step of a compiled plan: which body literal to solve next, and which
@@ -24,6 +26,13 @@ pub struct PlanStep {
     pub bound_positions: Vec<usize>,
     /// Estimated candidate rows per invocation of this step.
     pub estimated_rows: f64,
+    /// The literal's relation: its index in [`ClausePlan::epochs`], or
+    /// `None` when the statistics (and so the database) do not know it,
+    /// which makes the step unsatisfiable.
+    pub(crate) relation: Option<usize>,
+    /// The literal's arguments, compiled against the plan's registers and
+    /// constant pool.
+    pub(crate) args: Box<[Arg]>,
 }
 
 /// A compiled evaluation plan for one clause, assuming the head variables
@@ -45,6 +54,12 @@ pub struct ClausePlan {
     /// `(relation, epoch)` for every body relation known to the statistics
     /// the plan was costed against, in name order.
     pub epochs: Vec<(String, u64)>,
+    /// The head's arguments, compiled like the steps'.
+    pub(crate) head_args: Vec<Arg>,
+    /// Size of the register file: distinct variables over head and body.
+    pub(crate) registers: usize,
+    /// The constants the compiled arguments refer to.
+    pub(crate) constants: Vec<Value>,
 }
 
 impl ClausePlan {
@@ -80,7 +95,9 @@ impl ClausePlan {
     /// starting from the bound set {head variables ∪ constants}, repeatedly
     /// pick the literal with the smallest estimated candidate count given
     /// the current bound set, then mark its variables bound. Estimates come
-    /// from `model`.
+    /// from `model`. The head and every step's literal are compiled once,
+    /// here, to constants and registers, so every execution of a cached
+    /// plan reuses them.
     pub fn compile_with(
         clause: &Clause,
         stats: &DatabaseStatistics,
@@ -98,19 +115,33 @@ impl ClausePlan {
             model.estimate_atom(atom, borrowed, stats)
         });
         let estimated_cost = ordered.iter().map(|o| o.estimated_rows).sum();
+        let epochs = ClausePlan::stamp_epochs(&clause.body, stats);
+        let mut args = ArgCompiler::default();
+        let head_args = args.compile(&clause.head);
         let steps = ordered
             .into_iter()
-            .map(|o| PlanStep {
-                literal: o.index,
-                bound_positions: o.bound_positions,
-                estimated_rows: o.estimated_rows,
+            .map(|o| {
+                let atom = &clause.body[o.index];
+                PlanStep {
+                    literal: o.index,
+                    bound_positions: o.bound_positions,
+                    estimated_rows: o.estimated_rows,
+                    relation: epochs
+                        .binary_search_by(|(name, _)| name.as_str().cmp(&atom.relation))
+                        .ok(),
+                    args: args.compile(atom).into_boxed_slice(),
+                }
             })
             .collect();
+        let (registers, constants) = args.finish();
 
         ClausePlan {
             steps,
             estimated_cost,
-            epochs: ClausePlan::stamp_epochs(&clause.body, stats),
+            epochs,
+            head_args,
+            registers,
+            constants,
         }
     }
 }

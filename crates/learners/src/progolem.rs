@@ -58,44 +58,19 @@ impl ProGolem {
 }
 
 /// The asymmetric relative minimal generalization of `clause` towards
-/// example `e'` (Algorithm 3): repeatedly remove the blocking atom and any
-/// literal left unconnected to the head, until the clause covers `e'`.
+/// example `e'` (Algorithm 3): repeatedly remove the blocking atom — the
+/// first body literal at which the prefix clause stops covering `e'` — and
+/// any literal left unconnected to the head, until the clause covers `e'`.
 /// Returns `None` if even the empty-bodied clause fails to cover `e'`
-/// (which can only happen if the head constants conflict). Prefix coverage
-/// tests run through the engine, so the repeated prefixes of one armg call
-/// — and of armg calls on overlapping clauses — hit the memo cache.
+/// (which can only happen if the head constants conflict). The loop is
+/// [`Engine::armg`]: prefix coverage tests run through the engine, and each
+/// blocking-atom scan resumes at the first body position the last removal
+/// changed.
 pub fn armg(clause: &Clause, engine: &Engine, example: &Tuple) -> Option<Clause> {
-    let mut current = clause.clone();
-    loop {
-        if engine.covers(&current, example) {
-            return Some(current);
-        }
-        let Some(blocking) = blocking_atom_index(&current, engine, example) else {
-            // No blocking atom means even the empty prefix fails: give up.
-            return None;
-        };
+    engine.armg(clause, example, |current, blocking| {
         current.body.remove(blocking);
         current.remove_unconnected();
-    }
-}
-
-/// The index of the blocking atom of `clause` with respect to `example`: the
-/// least `i` such that the prefix clause `T ← L1, ..., L_{i+1}` does not
-/// cover the example. Returns `None` when the head itself cannot match.
-pub fn blocking_atom_index(clause: &Clause, engine: &Engine, example: &Tuple) -> Option<usize> {
-    // Check the empty prefix first: if the head cannot bind to the example
-    // there is no blocking atom to remove.
-    let empty_prefix = Clause::fact(clause.head.clone());
-    if !engine.covers(&empty_prefix, example) {
-        return None;
-    }
-    for i in 0..clause.body.len() {
-        let prefix = Clause::new(clause.head.clone(), clause.body[..=i].to_vec());
-        if !engine.covers(&prefix, example) {
-            return Some(i);
-        }
-    }
-    None
+    })
 }
 
 struct ProGolemClauseLearner {
@@ -268,16 +243,18 @@ mod tests {
             ],
         );
         let engine = engine_for(&db);
+        let first_blocking = |name: &str| {
+            let mut first = None;
+            engine.armg(&clause, &Tuple::from_strs(&[name]), |current, blocking| {
+                first.get_or_insert(blocking);
+                current.body.remove(blocking);
+            });
+            first
+        };
         // For ann, student(x) holds but inPhase(x,post) fails → index 1.
-        assert_eq!(
-            blocking_atom_index(&clause, &engine, &Tuple::from_strs(&["ann"])),
-            Some(1)
-        );
+        assert_eq!(first_blocking("ann"), Some(1));
         // For carl, both hold → no blocking atom.
-        assert_eq!(
-            blocking_atom_index(&clause, &engine, &Tuple::from_strs(&["carl"])),
-            None
-        );
+        assert_eq!(first_blocking("carl"), None);
     }
 
     #[test]

@@ -147,27 +147,38 @@ impl Clause {
     /// cannot be reached from the head through shared variables. ProGolem's
     /// and Castor's ARMG drop such literals after removing a blocking atom.
     pub fn remove_unconnected(&mut self) {
-        let mut reachable: BTreeSet<String> = self.head.variables();
+        fn vars(atom: &Atom) -> impl Iterator<Item = &str> {
+            atom.terms.iter().filter_map(Term::var_name)
+        }
+        let ground_head = vars(&self.head).next().is_none();
+        let mut reachable: BTreeSet<&str> = vars(&self.head).collect();
+        let mut reached = vec![false; self.body.len()];
         loop {
             let before = reachable.len();
-            for atom in &self.body {
-                if atom.shares_variable_with(&reachable) {
-                    reachable.extend(atom.variables());
+            for (i, atom) in self.body.iter().enumerate() {
+                if !reached[i] && vars(atom).any(|v| reachable.contains(v)) {
+                    reached[i] = true;
+                    reachable.extend(vars(atom));
                 }
             }
             if reachable.len() == before {
                 break;
             }
         }
-        self.body.retain(|a| {
-            // Ground body literals carry no variables; keep them only if the
-            // clause head is itself ground (rare), otherwise they are
-            // unconnected by definition.
-            if a.variables().is_empty() {
-                return self.head.variables().is_empty();
-            }
-            a.shares_variable_with(&reachable)
-        });
+        // Ground body literals carry no variables; keep them only if the
+        // clause head is itself ground (rare), otherwise they are
+        // unconnected by definition.
+        let keep: Vec<bool> = self
+            .body
+            .iter()
+            .zip(reached)
+            .map(|(atom, reached)| match vars(atom).next() {
+                None => ground_head,
+                Some(_) => reached,
+            })
+            .collect();
+        let mut keep = keep.into_iter();
+        self.body.retain(|_| keep.next().unwrap_or(true));
     }
 
     /// Renames every variable by applying `f` to its name. Used to

@@ -340,7 +340,7 @@ impl<'a> Search<'a> {
             instance.iter().collect()
         } else {
             let positions: Vec<usize> = bound.iter().map(|(p, _)| *p).collect();
-            let key: Vec<Value> = bound.iter().map(|(_, v)| v.clone()).collect();
+            let key: Vec<&Value> = bound.iter().map(|&(_, v)| v).collect();
             instance.select_on_positions(&positions, &key)
         };
 
@@ -370,14 +370,14 @@ impl<'a> Search<'a> {
 
 /// The argument positions of `atom` that are constants or θ-bound variables,
 /// together with the constant each must equal.
-fn bound_positions(atom: &Atom, theta: &Substitution) -> Vec<(usize, Value)> {
+fn bound_positions<'t>(atom: &'t Atom, theta: &'t Substitution) -> Vec<(usize, &'t Value)> {
     let mut out = Vec::new();
     for (i, term) in atom.terms.iter().enumerate() {
         match term {
-            Term::Const(v) => out.push((i, v.clone())),
+            Term::Const(v) => out.push((i, v)),
             Term::Var(name) => {
                 if let Some(Term::Const(v)) = theta.get(name) {
-                    out.push((i, v.clone()));
+                    out.push((i, v));
                 }
             }
         }
@@ -387,8 +387,8 @@ fn bound_positions(atom: &Atom, theta: &Substitution) -> Vec<(usize, Value)> {
 
 /// Extends θ so that `atom` matches the ground `tuple`, recording every
 /// newly created binding on `trail` so the caller can undo it. Public so
-/// the compiled-plan executor in `castor-engine` shares the same
-/// unification kernel.
+/// the substitution-based oracle in `castor-engine`'s executor tests unifies
+/// exactly as this evaluator does.
 pub fn unify_with_tuple(
     atom: &Atom,
     tuple: &Tuple,

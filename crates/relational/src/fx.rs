@@ -1,10 +1,11 @@
-//! A fast, non-cryptographic hasher for the engine's internal maps.
+//! A fast, non-cryptographic hasher for the workspace's internal maps.
 //!
-//! The coverage cache is probed once per (clause, example) pair on the hot
-//! path; with the default SipHash the probe costs more than the lookup
-//! itself. This is the FxHash scheme used by rustc (multiply-rotate-xor
-//! over word-sized chunks): not DoS-resistant, which is fine for maps keyed
-//! by the engine's own canonical clauses and database tuples.
+//! Index probes and coverage-cache probes run once per search node or per
+//! (clause, example) pair on the hot paths; with the default SipHash the
+//! hash costs more than the lookup itself. This is the FxHash scheme used
+//! by rustc (multiply-rotate-xor over word-sized chunks): not
+//! DoS-resistant, which is fine for maps keyed by the database's own values
+//! and tuples and by the engine's canonical clauses.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -8,6 +8,7 @@
 //! implementation.
 
 use crate::error::RelationalError;
+use crate::fx::FxHashMap;
 use crate::relation::RelationSymbol;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -269,7 +270,7 @@ pub struct RelationInstance {
     symbol: RelationSymbol,
     tuples: Vec<Tuple>,
     /// `indexes[pos][value]` = row ids of tuples whose `pos`-th value is `value`.
-    indexes: Vec<HashMap<Value, Vec<usize>>>,
+    indexes: Vec<FxHashMap<Value, Vec<usize>>>,
     /// Per-position frequency sketches (histogram/MCV source), maintained
     /// in lock-step with the posting lists.
     sketches: Vec<ColumnSketch>,
@@ -286,7 +287,7 @@ impl RelationInstance {
         RelationInstance {
             symbol,
             tuples: Vec::new(),
-            indexes: vec![HashMap::new(); arity],
+            indexes: vec![FxHashMap::default(); arity],
             sketches: vec![ColumnSketch::default(); arity],
             present: HashSet::new(),
             epoch: 0,
@@ -427,7 +428,7 @@ impl RelationInstance {
     /// Tuples that agree with `key` on the attribute positions `positions`
     /// (a multi-column index lookup implemented by probing the most
     /// selective single-column index and post-filtering).
-    pub fn select_on_positions(&self, positions: &[usize], key: &[Value]) -> Vec<&Tuple> {
+    pub fn select_on_positions(&self, positions: &[usize], key: &[&Value]) -> Vec<&Tuple> {
         assert_eq!(
             positions.len(),
             key.len(),
@@ -439,7 +440,7 @@ impl RelationInstance {
         // Probe the column whose posting list is shortest.
         let mut best: Option<(usize, &Vec<usize>)> = None;
         for (i, (&pos, value)) in positions.iter().zip(key.iter()).enumerate() {
-            match self.indexes.get(pos).and_then(|idx| idx.get(value)) {
+            match self.indexes.get(pos).and_then(|idx| idx.get(*value)) {
                 Some(rows) => {
                     if best.is_none_or(|(_, b)| rows.len() < b.len()) {
                         best = Some((i, rows));
@@ -455,7 +456,7 @@ impl RelationInstance {
                 positions
                     .iter()
                     .zip(key.iter())
-                    .all(|(&pos, v)| t.value(pos) == v)
+                    .all(|(&pos, &v)| t.value(pos) == v)
             })
             .collect()
     }
@@ -504,7 +505,7 @@ impl RelationInstance {
     /// Number of distinct values at attribute position `pos`, read off the
     /// posting-list index (out-of-range positions report 0).
     pub fn distinct_values_at(&self, pos: usize) -> usize {
-        self.indexes.get(pos).map_or(0, HashMap::len)
+        self.indexes.get(pos).map_or(0, FxHashMap::len)
     }
 
     /// Snapshot of the instance's selectivity statistics, computed from the
@@ -580,10 +581,10 @@ mod tests {
     #[test]
     fn select_on_positions_multi_column() {
         let inst = ta_instance();
-        let hits = inst.select_on_positions(&[0, 1], &[Value::str("c1"), Value::str("alice")]);
+        let hits = inst.select_on_positions(&[0, 1], &[&Value::str("c1"), &Value::str("alice")]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0], &Tuple::from_strs(&["c1", "alice", "t1"]));
-        let empty = inst.select_on_positions(&[0, 1], &[Value::str("c2"), Value::str("bob")]);
+        let empty = inst.select_on_positions(&[0, 1], &[&Value::str("c2"), &Value::str("bob")]);
         assert!(empty.is_empty());
     }
 
@@ -635,7 +636,7 @@ mod tests {
         // Index lookups survive the swap-remove row compaction.
         assert_eq!(inst.select_eq(1, &Value::str("alice")).len(), 1);
         assert_eq!(inst.select_eq(1, &Value::str("bob")).len(), 1);
-        let hits = inst.select_on_positions(&[0, 1], &[Value::str("c2"), Value::str("alice")]);
+        let hits = inst.select_on_positions(&[0, 1], &[&Value::str("c2"), &Value::str("alice")]);
         assert_eq!(hits, vec![&Tuple::from_strs(&["c2", "alice", "t2"])]);
         // Statistics (read off the indexes) reflect the removal.
         let stats = inst.statistics();

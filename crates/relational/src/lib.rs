@@ -33,6 +33,7 @@ pub mod attribute;
 pub mod constraint;
 pub mod database;
 pub mod error;
+pub mod fx;
 pub mod instance;
 pub mod mutation;
 pub mod ops;
