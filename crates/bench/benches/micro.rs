@@ -190,14 +190,14 @@ fn bench_engine_batched_beam_vs_sequential(c: &mut Criterion) {
 /// Coverage caches are off on both sides, so only the cost models differ;
 /// expected ≥ 1.3× (in practice well over 10×). The same workload runs in
 /// CI as `tests/engine_adaptive_costing.rs`.
-fn bench_engine_adaptive_recosting(c: &mut Criterion) {
+fn bench_engine_histogram_costing(c: &mut Criterion) {
     let workload = castor_bench::skewed_costing_workload();
 
     let histogram = Engine::from_arc(
         std::sync::Arc::clone(&workload.db),
         EngineConfig::default().without_cache(),
     );
-    c.bench_function("engine_adaptive_recosting/histogram", |b| {
+    c.bench_function("engine_histogram_costing/histogram", |b| {
         b.iter(|| {
             let sets = histogram
                 .covered_sets_batch(black_box(&workload.beam), black_box(&workload.examples));
@@ -209,7 +209,7 @@ fn bench_engine_adaptive_recosting(c: &mut Criterion) {
         std::sync::Arc::clone(&workload.db),
         EngineConfig::default().with_uniform_costs().without_cache(),
     );
-    c.bench_function("engine_adaptive_recosting/uniform", |b| {
+    c.bench_function("engine_histogram_costing/uniform", |b| {
         b.iter(|| {
             let sets = uniform
                 .covered_sets_batch(black_box(&workload.beam), black_box(&workload.examples));
@@ -263,59 +263,6 @@ fn bench_rpc_coverage_roundtrip(c: &mut Criterion) {
     });
 }
 
-/// Cross-variant coverage reuse (PR 10): the four UW-CSE variants of one
-/// logical database registered on one server through a shared cache
-/// arena, versus the same per-variant jobs against isolated servers.
-/// The shared side proves each verdict once (on the first variant) and
-/// serves the other three from canonical-key cache hits; the independent
-/// side evaluates everything four times. Each iteration builds fresh
-/// servers — reuse only exists cold, a warm cache would measure nothing.
-fn bench_engine_cross_schema_reuse(c: &mut Criterion) {
-    use castor_eval::{
-        run_uwcse_cross_variant_coverage, run_uwcse_independent_coverage, Transport,
-    };
-
-    let family = generate(&UwCseConfig {
-        students: 24,
-        professors: 6,
-        courses: 8,
-        noise_fraction: 0.0,
-        ..Default::default()
-    });
-    let clauses = castor_datasets::uwcse::ground_truth_original().clauses;
-    let task = &family.variants[0].task;
-    let examples: Vec<Tuple> = task
-        .positive
-        .iter()
-        .chain(task.negative.iter())
-        .cloned()
-        .collect();
-
-    c.bench_function("engine_cross_schema_reuse/shared_arena", |b| {
-        b.iter(|| {
-            let runs = run_uwcse_cross_variant_coverage(
-                black_box(&family),
-                black_box(&clauses),
-                black_box(&examples),
-                1,
-                Transport::InProcess,
-            );
-            assert!(runs[1..].iter().all(|r| r.report.cross_variant_hits > 0));
-            black_box(runs)
-        })
-    });
-    c.bench_function("engine_cross_schema_reuse/independent_engines", |b| {
-        b.iter(|| {
-            black_box(run_uwcse_independent_coverage(
-                black_box(&family),
-                black_box(&clauses),
-                black_box(&examples),
-                1,
-            ))
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_subsumption,
@@ -324,8 +271,7 @@ criterion_group!(
     bench_lgg,
     bench_engine_coverage_cache,
     bench_engine_batched_beam_vs_sequential,
-    bench_engine_adaptive_recosting,
-    bench_engine_cross_schema_reuse,
+    bench_engine_histogram_costing,
     bench_rpc_coverage_roundtrip
 );
 criterion_main!(benches);

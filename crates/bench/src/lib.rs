@@ -129,7 +129,7 @@ pub struct SkewedCostingWorkload {
 }
 
 /// Builds the skewed-costing workload shared by the Criterion bench
-/// `engine_adaptive_recosting` and the CI guard
+/// `engine_histogram_costing` and the CI guard
 /// `tests/engine_adaptive_costing.rs`.
 pub fn skewed_costing_workload() -> SkewedCostingWorkload {
     use castor_logic::Atom;

@@ -106,116 +106,72 @@ impl CachedVerdict {
     }
 }
 
-/// A memoized verdict together with the schema variant that proved it.
-/// Variant ids are issued by the engine's cache arena; a cache used by a
-/// single engine runs entirely at variant 0. Definite verdicts are schema-
-/// invariant (the arena keys clauses by their canonical-schema image, and
-/// coverage is preserved by the definition mapping δτ), so they are served
-/// across variants; exhaustions are artifacts of one variant's plan and
-/// node accounting, so they are confined to the variant that observed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Stored {
-    verdict: CachedVerdict,
-    source: u16,
-}
-
-/// What one cache probe produced: the servable outcome, whether a dead
-/// exhaustion entry was struck out, and whether the serve crossed schema
-/// variants (a definite verdict proven by a different variant).
+/// What one cache probe produced: the servable outcome and whether a dead
+/// exhaustion entry was struck out.
 struct Served {
     outcome: Option<CoverageOutcome>,
     evicted: bool,
-    cross: bool,
 }
 
 /// One cached clause: its per-example outcomes plus the recency stamp the
 /// LRU order is kept under.
 #[derive(Debug, Default)]
 struct CacheSlot {
-    outcomes: FxHashMap<Tuple, Stored>,
+    outcomes: FxHashMap<Tuple, CachedVerdict>,
     stamp: u64,
 }
 
 impl CacheSlot {
     /// Merges one observed verdict into the slot. Definite verdicts always
-    /// win over exhaustions and are never downgraded (the first definite
-    /// prover keeps the credit). Of two same-variant exhaustions the larger
-    /// observed budget is kept (it answers more probes) and the refresh
-    /// resets the eviction strikes; an exhaustion observed by a *different*
-    /// variant replaces the entry outright — budgets under different
-    /// variants' plans are not comparable, so the latest writer wins.
-    fn absorb(&mut self, example: Tuple, verdict: CachedVerdict, source: u16) {
+    /// win over exhaustions and are never downgraded. Of two exhaustions the
+    /// larger observed budget is kept (it answers more probes) and the
+    /// refresh resets the eviction strikes.
+    fn absorb(&mut self, example: Tuple, verdict: CachedVerdict) {
         match self.outcomes.entry(example) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let stored = e.get_mut();
-                match (stored.verdict, verdict) {
+                match (*stored, verdict) {
                     (
                         CachedVerdict::ExhaustedAt { budget: old, .. },
                         CachedVerdict::ExhaustedAt { budget: new, .. },
                     ) => {
-                        if stored.source == source {
-                            stored.verdict = CachedVerdict::ExhaustedAt {
-                                budget: old.max(new),
-                                strikes: 0,
-                            };
-                        } else {
-                            *stored = Stored { verdict, source };
-                        }
-                    }
-                    (CachedVerdict::ExhaustedAt { .. }, definite) => {
-                        *stored = Stored {
-                            verdict: definite,
-                            source,
+                        *stored = CachedVerdict::ExhaustedAt {
+                            budget: old.max(new),
+                            strikes: 0,
                         };
                     }
+                    (CachedVerdict::ExhaustedAt { .. }, definite) => *stored = definite,
                     // A definite verdict is never downgraded.
                     (_, _) => {}
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Stored { verdict, source });
+                e.insert(verdict);
             }
         }
     }
 
-    /// Serves one example's verdict to a probe from `variant` under its
-    /// exhaustion `scope`, applying the budget-tier eviction policy: a
-    /// same-variant probe with a larger budget than a cached exhaustion is
-    /// a *strike*, and an entry that collects [`EXHAUSTION_STRIKE_LIMIT`]
-    /// consecutive strikes is removed on the spot. Probes with no
-    /// comparable budget (`scope == None`) neither serve nor strike
-    /// exhaustions; neither do probes from a different variant (a foreign
-    /// exhaustion is a plain miss — the entry stays for its owner).
-    fn serve_tracked(&mut self, example: &Tuple, scope: Option<usize>, variant: u16) -> Served {
-        let miss = Served {
-            outcome: None,
+    /// Serves one example's verdict to a probe under its exhaustion `scope`,
+    /// applying the budget-tier eviction policy: a probe with a larger
+    /// budget than a cached exhaustion is a *strike*, and an entry that
+    /// collects [`EXHAUSTION_STRIKE_LIMIT`] consecutive strikes is removed
+    /// on the spot. Probes with no comparable budget (`scope == None`)
+    /// neither serve nor strike exhaustions.
+    fn serve_tracked(&mut self, example: &Tuple, scope: Option<usize>) -> Served {
+        let served = |outcome| Served {
+            outcome,
             evicted: false,
-            cross: false,
         };
         let Some(stored) = self.outcomes.get_mut(example) else {
-            return miss;
+            return served(None);
         };
-        let cross = stored.source != variant;
-        match &mut stored.verdict {
-            CachedVerdict::Covered => Served {
-                outcome: Some(CoverageOutcome::Covered),
-                evicted: false,
-                cross,
-            },
-            CachedVerdict::NotCovered => Served {
-                outcome: Some(CoverageOutcome::NotCovered),
-                evicted: false,
-                cross,
-            },
-            CachedVerdict::ExhaustedAt { .. } if cross => miss,
+        match stored {
+            CachedVerdict::Covered => served(Some(CoverageOutcome::Covered)),
+            CachedVerdict::NotCovered => served(Some(CoverageOutcome::NotCovered)),
             CachedVerdict::ExhaustedAt { budget, strikes } => match scope {
                 Some(probe) if probe <= *budget => {
                     *strikes = 0;
-                    Served {
-                        outcome: Some(CoverageOutcome::Exhausted),
-                        evicted: false,
-                        cross: false,
-                    }
+                    served(Some(CoverageOutcome::Exhausted))
                 }
                 Some(_) => {
                     *strikes += 1;
@@ -224,13 +180,12 @@ impl CacheSlot {
                         Served {
                             outcome: None,
                             evicted: true,
-                            cross: false,
                         }
                     } else {
-                        miss
+                        served(None)
                     }
                 }
-                None => miss,
+                None => served(None),
             },
         }
     }
@@ -332,32 +287,15 @@ impl CoverageCache {
         example: &Tuple,
         scope: Option<usize>,
     ) -> Option<CoverageOutcome> {
-        self.get_from(canonical, example, scope, 0).0
-    }
-
-    /// [`CoverageCache::get`] for a probe from schema variant `variant`:
-    /// returns the outcome plus whether the serve crossed variants (a
-    /// definite verdict proven by a different variant — the cross-variant
-    /// reuse the arena keying exists for). Exhaustions are never served
-    /// across variants and foreign probes never strike them.
-    pub fn get_from(
-        &self,
-        canonical: &Clause,
-        example: &Tuple,
-        scope: Option<usize>,
-        variant: u16,
-    ) -> (Option<CoverageOutcome>, bool) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(slot) = inner.slots.get_mut(canonical) else {
-            return (None, false);
-        };
-        let served = slot.serve_tracked(example, scope, variant);
+        let slot = inner.slots.get_mut(canonical)?;
+        let served = slot.serve_tracked(example, scope);
         if served.evicted {
             self.evicted
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         self.settle_slot(&mut inner, canonical, served.outcome.is_some());
-        (served.outcome, served.cross && served.outcome.is_some())
+        served.outcome
     }
 
     /// Records an outcome for `(canonical, example)` observed under the
@@ -389,20 +327,6 @@ impl CoverageCache {
     where
         I: IntoIterator<Item = (Tuple, CoverageOutcome)>,
     {
-        self.insert_many_from(canonical, outcomes, scope, 0);
-    }
-
-    /// [`CoverageCache::insert_many`] with the writing schema variant
-    /// recorded as each verdict's source alongside the stored outcome.
-    pub fn insert_many_from<I>(
-        &self,
-        canonical: &Clause,
-        outcomes: I,
-        scope: Option<usize>,
-        variant: u16,
-    ) where
-        I: IntoIterator<Item = (Tuple, CoverageOutcome)>,
-    {
         let verdicts: Vec<(Tuple, CachedVerdict)> = outcomes
             .into_iter()
             .filter_map(|(example, outcome)| {
@@ -416,14 +340,14 @@ impl CoverageCache {
         match inner.slots.get_mut(canonical) {
             Some(slot) => {
                 for (example, verdict) in verdicts {
-                    slot.absorb(example, verdict, variant);
+                    slot.absorb(example, verdict);
                 }
             }
             None => {
                 // The only place a clause key is ever cloned: first insert.
                 let mut slot = CacheSlot::default();
                 for (example, verdict) in verdicts {
-                    slot.absorb(example, verdict, variant);
+                    slot.absorb(example, verdict);
                 }
                 inner.slots.insert(Arc::new(canonical.clone()), slot);
             }
@@ -449,20 +373,6 @@ impl CoverageCache {
             .expect("one clause in, one row out")
     }
 
-    /// [`CoverageCache::get_batch`] for a probe from schema variant
-    /// `variant`; additionally returns how many serves crossed variants.
-    pub fn get_batch_from(
-        &self,
-        canonical: &Clause,
-        examples: &[Tuple],
-        scope: Option<usize>,
-        variant: u16,
-    ) -> (Vec<Option<CoverageOutcome>>, usize) {
-        let (mut rows, cross) =
-            self.get_batch_multi_from(std::slice::from_ref(canonical), examples, scope, variant);
-        (rows.pop().expect("one clause in, one row out"), cross)
-    }
-
     /// Cached outcomes for a whole batch of clauses × examples under a
     /// single lock — the beam-evaluation entry point: one memo probe per
     /// beam instead of one per candidate.
@@ -472,21 +382,8 @@ impl CoverageCache {
         examples: &[Tuple],
         scope: Option<usize>,
     ) -> Vec<Vec<Option<CoverageOutcome>>> {
-        self.get_batch_multi_from(canonicals, examples, scope, 0).0
-    }
-
-    /// [`CoverageCache::get_batch_multi`] for a probe from schema variant
-    /// `variant`; additionally returns how many serves crossed variants.
-    pub fn get_batch_multi_from(
-        &self,
-        canonicals: &[Clause],
-        examples: &[Tuple],
-        scope: Option<usize>,
-        variant: u16,
-    ) -> (Vec<Vec<Option<CoverageOutcome>>>, usize) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut cross_hits = 0usize;
-        let rows = canonicals
+        canonicals
             .iter()
             .map(|canonical| match inner.slots.get_mut(canonical) {
                 None => vec![None; examples.len()],
@@ -495,9 +392,8 @@ impl CoverageCache {
                     let row: Vec<Option<CoverageOutcome>> = examples
                         .iter()
                         .map(|e| {
-                            let served = slot.serve_tracked(e, scope, variant);
+                            let served = slot.serve_tracked(e, scope);
                             evictions += served.evicted as usize;
-                            cross_hits += (served.cross && served.outcome.is_some()) as usize;
                             served.outcome
                         })
                         .collect();
@@ -509,48 +405,26 @@ impl CoverageCache {
                     row
                 }
             })
-            .collect();
-        (rows, cross_hits)
+            .collect()
     }
 
     /// The examples from `examples` cached as covered by `canonical` —
     /// the generality-order shortcut: callers pass a *parent* clause here
     /// and skip testing these examples on its generalizations.
     pub fn covered_subset(&self, canonical: &Clause, examples: &[Tuple]) -> Vec<Tuple> {
-        self.covered_subset_from(canonical, examples, 0).0
-    }
-
-    /// [`CoverageCache::covered_subset`] for a probe from schema variant
-    /// `variant`; additionally returns how many of the served verdicts were
-    /// proven by a different variant. Covered verdicts are definite and
-    /// therefore schema-invariant under the arena keying, so the subset
-    /// itself is the same for every variant.
-    pub fn covered_subset_from(
-        &self,
-        canonical: &Clause,
-        examples: &[Tuple],
-        variant: u16,
-    ) -> (Vec<Tuple>, usize) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let Some(slot) = inner.slots.get(canonical) else {
-            return (Vec::new(), 0);
+            return Vec::new();
         };
-        let mut cross_hits = 0usize;
         let covered: Vec<Tuple> = examples
             .iter()
-            .filter(|e| match slot.outcomes.get(*e) {
-                Some(stored) if stored.verdict == CachedVerdict::Covered => {
-                    cross_hits += (stored.source != variant) as usize;
-                    true
-                }
-                _ => false,
-            })
+            .filter(|e| slot.outcomes.get(*e) == Some(&CachedVerdict::Covered))
             .cloned()
             .collect();
         if !covered.is_empty() {
             inner.touch(canonical);
         }
-        (covered, cross_hits)
+        covered
     }
 
     /// Drops every cached clause that references one of `relations` (in its

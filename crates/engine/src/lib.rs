@@ -29,7 +29,6 @@
 //! workspace (Castor, FOIL, Golem, Progol, ProGolem) routes coverage tests
 //! through it.
 
-pub mod arena;
 pub mod batch;
 pub mod cache;
 pub mod cost;
@@ -38,7 +37,6 @@ pub mod plan;
 pub mod pool;
 pub mod stats;
 
-pub use arena::{CacheArena, CacheBinding, ClauseLens, RelationLens};
 pub use batch::{BatchItemStats, BatchPlan};
 pub use cache::{canonicalize, CoverageCache, EXHAUSTION_STRIKE_LIMIT};
 pub use castor_logic::{CoverageOutcome, EvalBudget, DEFAULT_EVAL_NODE_BUDGET};
@@ -230,18 +228,11 @@ pub trait CoverageTester {
 /// keying, prior handling (including the generality order), batched memo
 /// lookup/writeback, and worker-pool dispatch. Parameterized by a
 /// [`CoverageTester`] so the database executor and the θ-subsumption tester
-/// stay a single code path.
-///
-/// The memo cache is reached through a [`CacheBinding`]: a private binding
-/// behaves like owning the cache directly, while a binding into a shared
-/// [`CacheArena`] translates every cache key through the engine's variant
-/// lens into the logical database's canonical schema — so verdicts proven
-/// by *other* schema variants are served here (and vice versa). Only cache
-/// keys are translated; plans compile and execute against this engine's
-/// own schema.
+/// stay a single code path. The runtime owns its memo cache; the cache key
+/// of a clause is its α-canonical form.
 #[derive(Debug)]
 pub struct CoverageRuntime {
-    binding: CacheBinding,
+    cache: CoverageCache,
     pool: Arc<WorkerPool>,
     metrics: Arc<EngineStats>,
     cache_coverage: bool,
@@ -250,20 +241,10 @@ pub struct CoverageRuntime {
 
 impl CoverageRuntime {
     /// Builds a runtime from the engine configuration and a (possibly
-    /// shared) worker pool, with a private coverage cache.
+    /// shared) worker pool, with its own coverage cache.
     pub fn new(config: &EngineConfig, pool: Arc<WorkerPool>) -> Self {
-        CoverageRuntime::with_binding(config, pool, CacheBinding::private(config.cache_capacity))
-    }
-
-    /// Builds a runtime probing the coverage cache through `binding`
-    /// (typically one handed out by a shared [`CacheArena`]).
-    pub fn with_binding(
-        config: &EngineConfig,
-        pool: Arc<WorkerPool>,
-        binding: CacheBinding,
-    ) -> Self {
         CoverageRuntime {
-            binding,
+            cache: CoverageCache::new(config.cache_capacity),
             pool,
             metrics: Arc::new(EngineStats::new()),
             cache_coverage: config.cache_coverage,
@@ -282,57 +263,20 @@ impl CoverageRuntime {
         &self.metrics
     }
 
-    /// The coverage cache behind this runtime's binding.
-    fn cache(&self) -> &CoverageCache {
-        self.binding.cache()
-    }
-
-    /// The variant id this runtime's cache writes are tagged with.
-    fn variant(&self) -> u16 {
-        self.binding.variant()
-    }
-
-    /// The cache key of an α-canonical clause: the clause itself for a
-    /// private binding, its (re-canonicalized) canonical-schema image for
-    /// an arena binding. The lens maps literals across schemas, which can
-    /// reorder variable first occurrences, so the image is α-canonicalized
-    /// again — α-equivalent images from different variants must collide.
-    fn key_of<'a>(&self, canonical: &'a Clause) -> std::borrow::Cow<'a, Clause> {
-        match self.binding.key_of(canonical) {
-            Some(mapped) => {
-                EngineStats::bump(&self.metrics.cross_variant_translations);
-                std::borrow::Cow::Owned(canonicalize(&mapped))
-            }
-            None => std::borrow::Cow::Borrowed(canonical),
-        }
-    }
-
-    /// Counts cache serves whose verdict another variant proved.
-    fn note_cross_hits(&self, cross: usize) {
-        if cross > 0 {
-            EngineStats::add(&self.metrics.cross_variant_hits, cross);
-        }
-    }
-
     /// Snapshot of the runtime counters (including the coverage cache's
     /// budget-tier eviction count, which the cache tracks itself).
     pub fn report(&self) -> EngineReport {
         let mut report = self.metrics.snapshot();
-        report.exhaustions_evicted = self.cache().exhaustions_evicted();
+        report.exhaustions_evicted = self.cache.exhaustions_evicted();
         report
     }
 
     /// Drops cached coverage for every clause referencing one of
     /// `relations` (the mutation-invalidation hook; see
     /// [`CoverageCache::invalidate_relations`]). Returns the number of
-    /// clauses dropped. Under an arena binding the dirty set is first
-    /// translated to the canonical relations it can influence — cached keys
-    /// name canonical-schema relations.
+    /// clauses dropped.
     pub fn invalidate_relations(&self, relations: &std::collections::BTreeSet<String>) -> usize {
-        let dropped = match self.binding.relations_of(relations) {
-            Some(translated) => self.cache().invalidate_relations(&translated),
-            None => self.cache().invalidate_relations(relations),
-        };
+        let dropped = self.cache.invalidate_relations(relations);
         if dropped > 0 {
             EngineStats::add(&self.metrics.cache_clauses_invalidated, dropped);
         }
@@ -341,7 +285,7 @@ impl CoverageRuntime {
 
     /// Drops the whole coverage cache (see [`CoverageCache::clear`]).
     pub fn clear_cache(&self) {
-        self.cache().clear();
+        self.cache.clear();
     }
 
     /// Tri-state coverage test for one example through the memo cache.
@@ -352,12 +296,9 @@ impl CoverageRuntime {
         example: &Tuple,
     ) -> CoverageOutcome {
         let scope = tester.exhaustion_scope();
-        let key = self.key_of(canonical);
         if self.cache_coverage {
-            let (cached, cross) = self.cache().get_from(&key, example, scope, self.variant());
-            if let Some(outcome) = cached {
+            if let Some(outcome) = self.cache.get(canonical, example, scope) {
                 EngineStats::bump(&self.metrics.cache_hits);
-                self.note_cross_hits(cross as usize);
                 return outcome;
             }
             EngineStats::bump(&self.metrics.cache_misses);
@@ -367,11 +308,10 @@ impl CoverageRuntime {
             // Narrow the scope across the test: a cancellation that fired
             // during it turned an exhaustion into an abort (drop), and a
             // concurrent budget change must not inflate the stored key.
-            self.cache().insert_many_from(
-                &key,
+            self.cache.insert_many(
+                canonical,
                 std::iter::once((example.clone(), outcome)),
                 narrow_scope(scope, tester.exhaustion_scope()),
-                self.variant(),
             );
         }
         outcome
@@ -389,26 +329,18 @@ impl CoverageRuntime {
     ) -> HashSet<Tuple> {
         let mut covered: HashSet<Tuple> = HashSet::new();
         if let Prior::GeneralizationOf(parent) = prior {
-            let parent_canonical = canonicalize(parent);
-            let parent_key = self.key_of(&parent_canonical);
-            let (subset, cross) =
-                self.cache()
-                    .covered_subset_from(&parent_key, examples, self.variant());
-            self.note_cross_hits(cross);
-            covered.extend(subset);
+            covered.extend(self.cache.covered_subset(&canonicalize(parent), examples));
         }
         let scope = tester.exhaustion_scope();
-        let key = self.key_of(canonical);
         if !covered.is_empty() {
             EngineStats::add(&self.metrics.generality_skips, covered.len());
             if self.cache_coverage {
-                self.cache().insert_many_from(
-                    &key,
+                self.cache.insert_many(
+                    canonical,
                     covered
                         .iter()
                         .map(|e| (e.clone(), CoverageOutcome::Covered)),
                     scope,
-                    self.variant(),
                 );
             }
         }
@@ -417,11 +349,7 @@ impl CoverageRuntime {
         // evaluate the remainder.
         let mut pending: Vec<Tuple> = Vec::new();
         let cached = if self.cache_coverage {
-            let (rows, cross) = self
-                .cache()
-                .get_batch_from(&key, examples, scope, self.variant());
-            self.note_cross_hits(cross);
-            rows
+            self.cache.get_batch(canonical, examples, scope)
         } else {
             vec![None; examples.len()]
         };
@@ -460,11 +388,10 @@ impl CoverageRuntime {
             // Narrow the scope across the evaluation: mid-flight
             // cancellations drop the exhaustions, concurrent budget
             // changes cannot inflate the stored key.
-            self.cache().insert_many_from(
-                &key,
+            self.cache.insert_many(
+                canonical,
                 pending.iter().cloned().zip(outcomes.iter().copied()),
                 narrow_scope(scope, tester.exhaustion_scope()),
-                self.variant(),
             );
         }
         for (e, outcome) in pending.into_iter().zip(outcomes) {
@@ -506,16 +433,13 @@ impl CoverageRuntime {
         if !pairs.is_empty() {
             let outcomes = self.evaluate_pairs(tester, &prep.unique, examples, &pairs);
             // Scope narrowed across the evaluation (see `covered_set`).
-            // Split the prep borrows: cache keys stay immutable while the
-            // covered sets absorb the outcomes.
+            // Split the prep borrows: the canonical clauses stay immutable
+            // while the covered sets absorb the outcomes.
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut prep;
             self.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
+                unique,
                 examples,
                 &pairs,
                 &outcomes,
@@ -553,15 +477,6 @@ impl CoverageRuntime {
             });
             slot_of.push(slot);
         }
-        // Arena bindings key the cache by the canonical-schema image, one
-        // translation per unique clause. Execution keeps using `unique` —
-        // the image names relations of the canonical schema, not this
-        // engine's.
-        let keys: Option<Vec<Clause>> = self
-            .binding
-            .translates()
-            .then(|| unique.iter().map(|c| self.key_of(c).into_owned()).collect());
-        let key_at = |slot: usize| keys.as_deref().map_or(&unique[slot], |k| &k[slot]);
 
         let mut covered: Vec<HashSet<Tuple>> = vec![HashSet::new(); unique.len()];
         // Generality-derived coverage, written back to the cache below.
@@ -571,13 +486,7 @@ impl CoverageRuntime {
                 continue;
             };
             let slot = slot_of[i];
-            let parent_canonical = canonicalize(parent);
-            let parent_key = self.key_of(&parent_canonical);
-            let (subset, cross) =
-                self.cache()
-                    .covered_subset_from(&parent_key, examples, self.variant());
-            self.note_cross_hits(cross);
-            for e in subset {
+            for e in self.cache.covered_subset(&canonicalize(parent), examples) {
                 if covered[slot].insert(e.clone()) {
                     derived[slot].push(e);
                 }
@@ -590,23 +499,17 @@ impl CoverageRuntime {
         if self.cache_coverage {
             for (slot, derived) in derived.into_iter().enumerate() {
                 if !derived.is_empty() {
-                    self.cache().insert_many_from(
-                        key_at(slot),
+                    self.cache.insert_many(
+                        &unique[slot],
                         derived.into_iter().map(|e| (e, CoverageOutcome::Covered)),
                         scope,
-                        self.variant(),
                     );
                 }
             }
         }
 
         let rows = if self.cache_coverage {
-            let probe = keys.as_deref().unwrap_or(&unique);
-            let (rows, cross) =
-                self.cache()
-                    .get_batch_multi_from(probe, examples, scope, self.variant());
-            self.note_cross_hits(cross);
-            rows
+            self.cache.get_batch_multi(&unique, examples, scope)
         } else {
             vec![vec![None; examples.len()]; unique.len()]
         };
@@ -638,7 +541,6 @@ impl CoverageRuntime {
         }
         BatchPrep {
             unique,
-            keys,
             slot_of,
             covered,
             pending,
@@ -671,12 +573,11 @@ impl CoverageRuntime {
 
     /// Writes evaluated pair outcomes back to the memo cache (grouped per
     /// clause, one lock each) and folds covered verdicts into the per-slot
-    /// covered sets. `keys` are the *cache keys* of the evaluated slots
-    /// (the canonical clauses themselves under a private binding, their
-    /// canonical-schema images under an arena binding).
+    /// covered sets. `unique` are the canonical clauses the pair slots
+    /// index, which are also their cache keys.
     fn absorb_pair_outcomes(
         &self,
-        keys: &[Clause],
+        unique: &[Clause],
         examples: &[Tuple],
         pairs: &[(usize, usize)],
         outcomes: &[CoverageOutcome],
@@ -686,18 +587,13 @@ impl CoverageRuntime {
         if self.cache_coverage {
             // One pass: bucket outcomes by slot, then one insert_many per
             // clause that actually evaluated something.
-            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> = vec![Vec::new(); keys.len()];
+            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> = vec![Vec::new(); unique.len()];
             for (&(slot, ei), &outcome) in pairs.iter().zip(outcomes) {
                 by_slot[slot].push((examples[ei].clone(), outcome));
             }
             for (slot, slot_outcomes) in by_slot.into_iter().enumerate() {
                 if !slot_outcomes.is_empty() {
-                    self.cache().insert_many_from(
-                        &keys[slot],
-                        slot_outcomes,
-                        scope,
-                        self.variant(),
-                    );
+                    self.cache.insert_many(&unique[slot], slot_outcomes, scope);
                 }
             }
         }
@@ -710,13 +606,11 @@ impl CoverageRuntime {
 }
 
 /// The shared pre-pass state of one batched evaluation: canonical unique
-/// clauses, their cache keys when the binding translates (`None` under a
-/// private binding — the canonical clauses are the keys), the mapping from
-/// the caller's clause order onto them, known coverage (priors + cache),
-/// and the (slot → example indices) work that still needs evaluation.
+/// clauses (also their cache keys), the mapping from the caller's clause
+/// order onto them, known coverage (priors + cache), and the (slot →
+/// example indices) work that still needs evaluation.
 struct BatchPrep {
     unique: Vec<Clause>,
-    keys: Option<Vec<Clause>>,
     slot_of: Vec<usize>,
     covered: Vec<HashSet<Tuple>>,
     pending: Vec<Vec<usize>>,
@@ -863,7 +757,7 @@ impl Engine {
         pool: Arc<WorkerPool>,
         obs: Arc<Obs>,
     ) -> Self {
-        Engine::build(db, config, pool, EngineObs::new(obs), None)
+        Engine::build(db, config, pool, EngineObs::new(obs))
     }
 
     /// [`Engine::with_observability`], but every engine latency histogram
@@ -877,36 +771,7 @@ impl Engine {
         obs: Arc<Obs>,
         db_label: &str,
     ) -> Self {
-        Engine::build(
-            db,
-            config,
-            pool,
-            EngineObs::with_label(obs, Some(db_label)),
-            None,
-        )
-    }
-
-    /// [`Engine::with_labeled_observability`], but probing the coverage
-    /// cache through a [`CacheBinding`] from a shared [`CacheArena`]: this
-    /// engine's database is one schema variant of a logical database, and
-    /// verdicts proven by the other variants sharing the arena are served
-    /// here (keyed by each clause's canonical-schema image). Pass
-    /// `db_label = None` for unlabeled histograms.
-    pub fn with_cache_binding(
-        db: Arc<DatabaseInstance>,
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-        obs: Arc<Obs>,
-        db_label: Option<&str>,
-        binding: CacheBinding,
-    ) -> Self {
-        Engine::build(
-            db,
-            config,
-            pool,
-            EngineObs::with_label(obs, db_label),
-            Some(binding),
-        )
+        Engine::build(db, config, pool, EngineObs::with_label(obs, Some(db_label)))
     }
 
     fn build(
@@ -914,13 +779,9 @@ impl Engine {
         config: EngineConfig,
         pool: Arc<WorkerPool>,
         obs: EngineObs,
-        binding: Option<CacheBinding>,
     ) -> Self {
         let db_stats = DatabaseStatistics::gather(&db);
-        let runtime = match binding {
-            Some(binding) => CoverageRuntime::with_binding(&config, pool, binding),
-            None => CoverageRuntime::new(&config, pool),
-        };
+        let runtime = CoverageRuntime::new(&config, pool);
         Engine {
             db_stats: RwLock::new(Arc::new(db_stats)),
             plans: Mutex::new(fx::FxHashMap::default()),
@@ -1540,19 +1401,10 @@ impl Engine {
         // example) later. Definite verdicts are cached as usual.
         {
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut *prep;
-            self.runtime.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
-                examples,
-                &pairs,
-                &outcomes,
-                covered,
-                None,
-            );
+            self.runtime
+                .absorb_pair_outcomes(unique, examples, &pairs, &outcomes, covered, None);
         }
 
         if !singles.is_empty() {
@@ -1564,13 +1416,10 @@ impl Engine {
             // exhaustions keep the budget tier (scope narrowed across the
             // evaluation, as in `covered_set`).
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut *prep;
             self.runtime.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
+                unique,
                 examples,
                 &singles,
                 &outcomes,

@@ -87,13 +87,6 @@ pub struct EngineStats {
     pub cache_hits: AtomicUsize,
     /// Tests that had to be evaluated and were then cached.
     pub cache_misses: AtomicUsize,
-    /// Cache hits whose verdict was proven by a *different* schema variant
-    /// sharing the cache arena (a subset of `cache_hits` plus the covered
-    /// subsets served by the generality order).
-    pub cross_variant_hits: AtomicUsize,
-    /// Clause keys translated through a variant lens before a cache probe
-    /// or insert (the per-variant boundary cost of cross-variant reuse).
-    pub cross_variant_translations: AtomicUsize,
     /// Tests skipped through the generality order (a generalization covers
     /// everything its parent covered).
     pub generality_skips: AtomicUsize,
@@ -155,8 +148,6 @@ impl EngineStats {
             coverage_tests: self.coverage_tests.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cross_variant_hits: self.cross_variant_hits.load(Ordering::Relaxed),
-            cross_variant_translations: self.cross_variant_translations.load(Ordering::Relaxed),
             generality_skips: self.generality_skips.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
             // Owned by the coverage cache, not these counters; the runtime
@@ -188,11 +179,6 @@ pub struct EngineReport {
     pub cache_hits: usize,
     /// Tests evaluated and cached.
     pub cache_misses: usize,
-    /// Cache serves whose verdict was proven by a different schema variant
-    /// sharing the cache arena.
-    pub cross_variant_hits: usize,
-    /// Clause keys translated through a variant lens at the cache boundary.
-    pub cross_variant_translations: usize,
     /// Tests skipped through the generality order.
     pub generality_skips: usize,
     /// Tests that ended by budget exhaustion (approximate "not covered").
@@ -235,9 +221,6 @@ impl EngineReport {
             coverage_tests: self.coverage_tests + other.coverage_tests,
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
-            cross_variant_hits: self.cross_variant_hits + other.cross_variant_hits,
-            cross_variant_translations: self.cross_variant_translations
-                + other.cross_variant_translations,
             generality_skips: self.generality_skips + other.generality_skips,
             budget_exhausted: self.budget_exhausted + other.budget_exhausted,
             exhaustions_evicted: self.exhaustions_evicted + other.exhaustions_evicted,
@@ -266,12 +249,6 @@ impl EngineReport {
             coverage_tests: self.coverage_tests.saturating_sub(baseline.coverage_tests),
             cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(baseline.cache_misses),
-            cross_variant_hits: self
-                .cross_variant_hits
-                .saturating_sub(baseline.cross_variant_hits),
-            cross_variant_translations: self
-                .cross_variant_translations
-                .saturating_sub(baseline.cross_variant_translations),
             generality_skips: self
                 .generality_skips
                 .saturating_sub(baseline.generality_skips),
@@ -329,7 +306,7 @@ impl fmt::Display for EngineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "tests={} cache={}/{} ({:.0}% hit) cross-variant={}hits/{}xl \
+            "tests={} cache={}/{} ({:.0}% hit) \
              generality-skips={} budget-exhausted={} \
              exhaustions-evicted={} \
              plans={} (+{} reused) \
@@ -341,8 +318,6 @@ impl fmt::Display for EngineReport {
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             100.0 * self.cache_hit_rate(),
-            self.cross_variant_hits,
-            self.cross_variant_translations,
             self.generality_skips,
             self.budget_exhausted,
             self.exhaustions_evicted,

@@ -5,14 +5,10 @@
 //! dataset family, schema-independence checking, and plain-text rendering
 //! of the paper's result tables.
 
-pub mod cross_variant;
 pub mod experiment;
 pub mod metrics;
 pub mod report;
 
-pub use cross_variant::{
-    run_uwcse_cross_variant_coverage, run_uwcse_independent_coverage, CrossVariantRun, Transport,
-};
 pub use experiment::{run_algorithm_over_family, AlgorithmKind, ExperimentRow};
 pub use metrics::{
     evaluate_definition, evaluate_definition_with_engine, evaluate_definition_with_session,

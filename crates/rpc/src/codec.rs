@@ -741,8 +741,6 @@ impl Wire for EngineReport {
             self.coverage_tests,
             self.cache_hits,
             self.cache_misses,
-            self.cross_variant_hits,
-            self.cross_variant_translations,
             self.generality_skips,
             self.budget_exhausted,
             self.exhaustions_evicted,
@@ -768,8 +766,6 @@ impl Wire for EngineReport {
             coverage_tests: r.get_usize()?,
             cache_hits: r.get_usize()?,
             cache_misses: r.get_usize()?,
-            cross_variant_hits: r.get_usize()?,
-            cross_variant_translations: r.get_usize()?,
             generality_skips: r.get_usize()?,
             budget_exhausted: r.get_usize()?,
             exhaustions_evicted: r.get_usize()?,
@@ -877,11 +873,27 @@ mod tests {
             expected: 2,
             actual: 3,
         });
+        // Every field distinct and nonzero (and no `..Default`): a field
+        // dropped from, or reordered in, the wire layout fails the roundtrip.
         roundtrip(EngineReport {
-            coverage_tests: 123,
-            exhaustions_evicted: 7,
-            batch_plans_invalidated: 9,
-            ..Default::default()
+            coverage_tests: 1,
+            cache_hits: 2,
+            cache_misses: 3,
+            generality_skips: 4,
+            budget_exhausted: 5,
+            exhaustions_evicted: 6,
+            plans_compiled: 7,
+            plan_cache_hits: 8,
+            plans_invalidated: 9,
+            cache_clauses_invalidated: 10,
+            mutation_batches: 11,
+            batches: 12,
+            batch_clauses: 13,
+            batch_prefix_hits: 14,
+            batch_suffix_forks: 15,
+            batch_plans_compiled: 16,
+            batch_plan_cache_hits: 17,
+            batch_plans_invalidated: 18,
         });
         roundtrip(ServerReport {
             sessions_accepted: 1,

@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     frame length N (u32 LE) — bytes after this prefix
-//! 4       1     protocol version (PROTOCOL_VERSION = 2)
+//! 4       1     protocol version (PROTOCOL_VERSION = 3)
 //! 5       1     frame kind (request or response discriminant)
 //! 6       8     request id (u64 LE) — echoed verbatim in the response
 //! 14      N-10  payload (kind-specific binary, see `codec`)
@@ -30,11 +30,12 @@ use std::fmt;
 use std::io::{Read, Write};
 
 /// The protocol version stamped into, and required of, every frame's
-/// header. Version 2 is the frame set with streaming responses
-/// ([`Response::Stream`]) under client-granted flow-control credit
-/// ([`Request::StreamCredit`], plus an initial-credit field trailing
-/// `Hello`).
-pub const PROTOCOL_VERSION: u8 = 2;
+/// header. Version 2 added streaming responses ([`Response::Stream`])
+/// under client-granted flow-control credit ([`Request::StreamCredit`],
+/// plus an initial-credit field trailing `Hello`). Version 3 dropped two
+/// counters from the `EngineReport` payload; a version-2 peer would decode
+/// its counters shifted, so it is refused like any other version.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Stream frames a server may write before it needs a fresh
 /// [`Request::StreamCredit`] grant, when the client's `Hello` carries no

@@ -31,13 +31,10 @@ use crate::job::{Job, JobError, JobResult, JobShared, LearnAlgorithm};
 use crate::session::Session;
 use crate::stats::{QueueReport, ServerReport, ServerStats};
 use castor_core::Castor;
-use castor_engine::{
-    CacheArena, CacheBinding, Engine, EngineConfig, EngineReport, ProgressSink, WorkerPool,
-};
+use castor_engine::{Engine, EngineConfig, EngineReport, ProgressSink, WorkerPool};
 use castor_learners::{Foil, Golem, ProGolem, Progol};
 use castor_obs::{Collect, Counter, Exposition, Histogram, Obs, ObsConfig};
 use castor_relational::DatabaseInstance;
-use castor_transform::VariantLens;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -496,16 +493,6 @@ impl Collect for DatabaseCollector {
                 e.cache_hits,
             ),
             (
-                "castor_engine_cross_variant_hits_total",
-                "Cache hits served from a verdict proven by another schema variant.",
-                e.cross_variant_hits,
-            ),
-            (
-                "castor_engine_cross_variant_translations_total",
-                "Clauses translated through a variant lens at the cache boundary.",
-                e.cross_variant_translations,
-            ),
-            (
                 "castor_engine_budget_exhausted_total",
                 "Tests that ended by budget exhaustion.",
                 e.budget_exhausted,
@@ -601,11 +588,6 @@ pub struct Server {
     pool: Arc<WorkerPool>,
     config: ServerConfig,
     databases: Mutex<HashMap<String, DatabaseEntry>>,
-    /// One shared coverage-cache arena per *logical* database: every
-    /// schema variant registered against the same logical name binds to
-    /// the same arena, so verdicts proven on one variant serve the others
-    /// (see [`Server::register_variant`]).
-    arenas: Mutex<HashMap<String, Arc<CacheArena>>>,
     stats: Arc<ServerStats>,
     obs: Arc<Obs>,
     watchdog: Arc<DeadlineWatchdog>,
@@ -658,7 +640,6 @@ impl Server {
             pool,
             config,
             databases: Mutex::new(HashMap::new()),
-            arenas: Mutex::new(HashMap::new()),
             stats,
             obs,
             watchdog: DeadlineWatchdog::spawn(),
@@ -698,87 +679,20 @@ impl Server {
         name: impl Into<String>,
         db: Arc<DatabaseInstance>,
     ) -> Result<(), ServerError> {
-        self.register_inner(name.into(), db, None)
-    }
-
-    /// Registers a database as a *schema variant* of one logical database:
-    /// every variant registered under the same `logical` name shares one
-    /// coverage-cache arena, keyed by clauses' canonical-schema image, so a
-    /// verdict proven on any variant is served to all the others over RPC
-    /// and in-process alike. `lens` is the δτ mapping from this variant's
-    /// schema into the logical database's canonical schema (see
-    /// `castor_transform::CanonicalSchema::lens_for`); pass
-    /// [`VariantLens::identity`] for the canonical anchor itself. Plans
-    /// still compile and execute against the variant's own schema — the
-    /// lens translates cache keys only.
-    pub fn register_variant(
-        &self,
-        name: impl Into<String>,
-        db: Arc<DatabaseInstance>,
-        logical: impl Into<String>,
-        lens: VariantLens,
-    ) -> Result<(), ServerError> {
-        let arena =
-            {
-                let mut arenas = self.arenas.lock().unwrap_or_else(|e| e.into_inner());
-                Arc::clone(arenas.entry(logical.into()).or_insert_with(|| {
-                    Arc::new(CacheArena::new(self.config.engine.cache_capacity))
-                }))
-            };
-        let binding = if lens.is_identity() {
-            arena.bind_canonical()
-        } else {
-            let map = Arc::new(lens);
-            let relations = Arc::clone(&map);
-            arena.bind(
-                Arc::new(move |clause: &castor_logic::Clause| map.map_clause(clause)),
-                Arc::new(move |dirty: &std::collections::BTreeSet<String>| {
-                    relations.map_relations(dirty)
-                }),
-            )
-        };
-        self.register_inner(name.into(), db, Some(binding))
-    }
-
-    /// The shared arena of one logical database, if any variant of it has
-    /// been registered (for reports and tests).
-    pub fn arena(&self, logical: &str) -> Option<Arc<CacheArena>> {
-        self.arenas
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(logical)
-            .cloned()
-    }
-
-    fn register_inner(
-        &self,
-        name: String,
-        db: Arc<DatabaseInstance>,
-        binding: Option<CacheBinding>,
-    ) -> Result<(), ServerError> {
+        let name = name.into();
         let mut databases = self.databases.lock().unwrap_or_else(|e| e.into_inner());
         if databases.contains_key(&name) {
             return Err(ServerError::DuplicateDatabase(name));
         }
         let mut engine_config = self.config.engine.clone();
         engine_config.threads = self.config.threads;
-        let engine = Arc::new(match binding {
-            Some(binding) => Engine::with_cache_binding(
-                db,
-                engine_config,
-                Arc::clone(&self.pool),
-                Arc::clone(&self.obs),
-                Some(&name),
-                binding,
-            ),
-            None => Engine::with_labeled_observability(
-                db,
-                engine_config,
-                Arc::clone(&self.pool),
-                Arc::clone(&self.obs),
-                &name,
-            ),
-        });
+        let engine = Arc::new(Engine::with_labeled_observability(
+            db,
+            engine_config,
+            Arc::clone(&self.pool),
+            Arc::clone(&self.obs),
+            &name,
+        ));
         let queue = Arc::new(DatabaseQueue::new(self.config.max_inflight_per_database));
         self.obs
             .registry()

@@ -1,4 +1,4 @@
-//! The canonical-schema anchor for cross-variant verdict reuse.
+//! The canonical-schema anchor for schema-independence checks.
 //!
 //! All schema variants of one logical database are bijective-transformation
 //! images of a shared base schema (Definition 3.4). Fixing one variant —
@@ -6,16 +6,15 @@
 //! every variant a lens: the definition mapping δτ from that variant's
 //! schema into the canonical schema (variant τ inverted, then the canonical
 //! τ, both from the base). Two clauses learned on different variants that
-//! denote the same hypothesis map to α-equivalent canonical clauses, so a
-//! coverage verdict proven on one variant can be served to every other by
-//! keying the cache on the lens image (see `castor-engine`'s cache arena).
+//! denote the same hypothesis map to θ-equivalent canonical clauses, which
+//! is how a test compares definitions learned on different variants
+//! (Proposition 3.7).
 
 use crate::definition_map::map_clause_through_step;
 use crate::step::TransformStep;
 use crate::transformation::Transformation;
 use castor_logic::{Clause, Definition};
 use castor_relational::Schema;
-use std::collections::BTreeSet;
 
 /// The canonical (most-composed) schema of a logical database, anchored by
 /// the transformation that produces it from the shared base schema.
@@ -103,23 +102,6 @@ impl VariantLens {
     pub fn map_definition(&self, def: &Definition) -> Definition {
         let clauses = def.clauses.iter().map(|c| self.map_clause(c)).collect();
         Definition::new(def.target.clone(), clauses)
-    }
-
-    /// Maps a set of variant-schema relation names to the canonical-schema
-    /// relations they can influence. Conservative: walking the steps in
-    /// order, whenever a step consumes any relation currently in the set,
-    /// everything it produces joins the set. Used to translate
-    /// relation-level cache invalidation across variants.
-    pub fn map_relations(&self, relations: &BTreeSet<String>) -> BTreeSet<String> {
-        let mut current: BTreeSet<String> = relations.clone();
-        for step in &self.steps {
-            if step.consumed().iter().any(|r| current.contains(*r)) {
-                for p in step.produced() {
-                    current.insert(p.name.clone());
-                }
-            }
-        }
-        current
     }
 }
 
@@ -240,17 +222,5 @@ mod tests {
             ],
         );
         assert_eq!(own.map_clause(&clause), clause);
-    }
-
-    #[test]
-    fn map_relations_follows_consumption_chain() {
-        let base = base_schema();
-        let canonical = CanonicalSchema::anchor(&base, Transformation::identity("id"));
-        let lens = canonical.lens_for(&to_decomposed(&base));
-        let dirty: BTreeSet<String> = ["inPhase".to_string()].into_iter().collect();
-        let mapped = lens.map_relations(&dirty);
-        assert!(mapped.contains("student"));
-        assert!(mapped.contains("inPhase"));
-        assert!(!mapped.contains("publication"));
     }
 }

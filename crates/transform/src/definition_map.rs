@@ -23,7 +23,7 @@
 //! body produced by the matching decomposition split this regroups each
 //! split exactly — compose ∘ decompose is the identity on clauses — which
 //! is what lets α-equivalent clauses from different schema variants
-//! collide on one canonical cache key (see [`crate::CanonicalSchema`]).
+//! map to one canonical clause (see [`crate::CanonicalSchema`]).
 
 use crate::step::{RelationSpec, TransformStep};
 use crate::transformation::Transformation;

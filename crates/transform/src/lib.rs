@@ -23,8 +23,8 @@
 //!   decomposition steps and greedy literal merging (with fresh-variable
 //!   padding) for composition steps;
 //! * [`CanonicalSchema`] — a most-composed anchor giving every variant of a
-//!   logical database a [`VariantLens`] into one shared clause space, the
-//!   basis of cross-variant coverage-verdict reuse in `castor-engine`;
+//!   logical database a [`VariantLens`] into one shared clause space, so
+//!   definitions learned on different variants can be compared;
 //! * an information-equivalence verifier that round-trips instances.
 
 pub mod acyclicity;

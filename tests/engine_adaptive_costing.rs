@@ -1,8 +1,9 @@
 //! Acceptance guard for histogram-backed costing. The ≥1.3× claim is
-//! *measured* by the Criterion bench `engine_adaptive_recosting` in
+//! *measured* by the Criterion bench `engine_histogram_costing` in
 //! `castor-bench/benches/micro.rs` (release mode, warm-up, sized iteration
-//! counts); this suite pins the same workload in CI: on skewed data where
-//! the uniform selectivity estimate mis-orders the shared join prefix, the
+//! counts); this suite pins the same workload in CI. Both compare two
+//! fixed cost models and nothing adaptive: on skewed data where the
+//! uniform selectivity estimate mis-orders the shared join prefix, the
 //! histogram cost model must beat the uniform baseline by the acceptance
 //! floor with *identical* coverage results.
 

@@ -8,17 +8,24 @@
 //! each decoder must answer `Ok` or a typed [`FrameError`]: no panic, and
 //! no buffer past the frame cap. A failure names its seed, so the exact
 //! byte schedule replays with `cargo test --test rpc_decoder_fuzz`.
+//!
+//! Below the frames, every payload type the RPC decodes is fuzzed on its
+//! own through `codec::from_bytes`: each truncation and a few hundred
+//! single-byte flips of a valid encoding must decode to `Ok` or `Err`.
 
+use castor::core::CastorConfig;
 use castor::engine::{ClauseCounts, EngineReport, LearnProgress};
 use castor::logic::{Atom, Clause, Definition, Term};
 use castor::relational::{MutationBatch, MutationSummary, Tuple};
+use castor::rpc::codec::{from_bytes, to_bytes};
 use castor::rpc::frame::{read_response, request_to_bytes, write_response, FrameAccumulator};
-use castor::rpc::{ErrorCode, FrameError, Request, Response, RpcError, StreamBody};
+use castor::rpc::{ErrorCode, FrameError, Request, Response, RpcError, StreamBody, Wire};
 use castor::service::{LearnAlgorithm, ServerReport};
 use castor_learners::{LearnerParams, LearningTask};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashSet;
+use std::fmt::Debug;
 use std::io::Read;
 
 /// Mutated inputs per decoder.
@@ -311,4 +318,112 @@ fn read_response_is_total_on_mutated_responses() {
     });
     assert!(decoded > SEEDS / 20, "only {decoded} frames decoded");
     assert!(rejected > SEEDS / 4, "only {rejected} frames rejected");
+}
+
+/// Single-byte flips per payload type.
+const FLIPS: usize = 300;
+
+/// Feeds `from_bytes::<T>` every truncation of `value`'s encoding and
+/// [`FLIPS`] seeded single-byte flips of it. Each call must return, `Ok`
+/// or `Err`; a panic is reported with the type, the input and the seed.
+fn payload_is_total<T: Wire + PartialEq + Debug>(label: &str, seed: u64, value: T) {
+    let bytes = to_bytes(&value);
+    assert_eq!(from_bytes::<T>(&bytes).as_ref(), Ok(&value), "{label}");
+    let decode = |input: &[u8], what: &str| {
+        let outcome = std::panic::catch_unwind(|| from_bytes::<T>(input).is_ok());
+        assert!(
+            outcome.is_ok(),
+            "{label}: from_bytes panicked on {what} (seed {seed}): {input:?}"
+        );
+    };
+    for cut in 0..bytes.len() {
+        decode(&bytes[..cut], &format!("a truncation at {cut}"));
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..FLIPS {
+        let mut flipped = bytes.clone();
+        let at = rng.gen_range(0..flipped.len());
+        flipped[at] ^= rng.gen_range(1..=255u8);
+        decode(&flipped, &format!("a flip at {at}"));
+    }
+}
+
+#[test]
+fn payload_decoders_are_total_on_truncations_and_byte_flips() {
+    let report = EngineReport {
+        coverage_tests: 1_000,
+        cache_hits: 300,
+        budget_exhausted: 2,
+        batch_prefix_hits: 1 << 20,
+        ..Default::default()
+    };
+    let mut params = LearnerParams::large_dataset();
+    params
+        .constant_positions
+        .insert(("publication".to_string(), 1usize));
+    let task = LearningTask::new(
+        "collaborated",
+        2,
+        tuples(),
+        vec![Tuple::from_strs(&["bob", "eve"])],
+    );
+    let mutations = MutationBatch::new()
+        .insert("publication", Tuple::from_strs(&["p9", "zed"]))
+        .remove("publication", Tuple::from_strs(&["p1", "ann"]));
+
+    payload_is_total("EngineReport", 1, report);
+    payload_is_total(
+        "ServerReport",
+        2,
+        ServerReport {
+            sessions_accepted: 9,
+            sessions_rejected: 1,
+            sessions_active: 3,
+            jobs_submitted: 400,
+            jobs_rejected: 7,
+            queue_drains: 128,
+        },
+    );
+    payload_is_total("Clause", 3, clause());
+    payload_is_total("Tuple", 4, tuples().remove(0));
+    payload_is_total(
+        "Definition",
+        5,
+        Definition::new("collaborated", vec![clause(), clause()]),
+    );
+    payload_is_total("MutationBatch", 6, mutations);
+    payload_is_total("LearnerParams", 7, params.clone());
+    payload_is_total(
+        "CastorConfig",
+        8,
+        CastorConfig {
+            params: params.clone(),
+            use_general_inds: true,
+            ..Default::default()
+        },
+    );
+    payload_is_total("LearningTask", 9, task);
+    payload_is_total("LearnAlgorithm", 10, LearnAlgorithm::Foil(params));
+    payload_is_total(
+        "MutationSummary",
+        11,
+        MutationSummary {
+            inserted: 2,
+            removed: 1,
+            changed_relations: ["publication".to_string()].into_iter().collect(),
+        },
+    );
+    payload_is_total(
+        "ClauseCounts",
+        12,
+        ClauseCounts {
+            positive: 3,
+            negative: 1,
+        },
+    );
+    payload_is_total(
+        "covered set",
+        13,
+        tuples().into_iter().collect::<HashSet<Tuple>>(),
+    );
 }

@@ -252,38 +252,41 @@ fn unknown_database_and_bad_first_frame_fail_with_typed_errors() {
             ..
         }
     ));
-    // A Hello stamped with the retired version 1: typed UnsupportedVersion
-    // frame, then a clean close — and no session was ever opened for it.
-    let stream = TcpStream::connect(rpc.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut hello = castor::rpc::frame::request_to_bytes(
-        6,
-        &Request::Hello {
-            database: "demo".into(),
-            eval_budget: None,
-            stream_credit: None,
-        },
-    );
-    hello[4] = 1; // version byte
-    writer.write_all(&hello).unwrap();
-    let mut reader = stream.try_clone().unwrap();
-    let (_, response) =
-        castor::rpc::frame::read_response(&mut reader, castor::rpc::DEFAULT_MAX_FRAME_BYTES)
-            .unwrap();
-    assert!(
-        matches!(
-            response,
-            Response::Error {
-                code: ErrorCode::UnsupportedVersion,
-                ..
-            }
-        ),
-        "{response:?}"
-    );
-    assert!(matches!(
-        castor::rpc::frame::read_response(&mut reader, castor::rpc::DEFAULT_MAX_FRAME_BYTES),
-        Err(FrameError::Closed)
-    ));
+    // A Hello stamped with a retired version (1, or 2 with its wider
+    // EngineReport): typed UnsupportedVersion frame, then a clean close —
+    // and no session was ever opened for it.
+    for retired in [1u8, 2] {
+        let stream = TcpStream::connect(rpc.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut hello = castor::rpc::frame::request_to_bytes(
+            6,
+            &Request::Hello {
+                database: "demo".into(),
+                eval_budget: None,
+                stream_credit: None,
+            },
+        );
+        hello[4] = retired; // version byte
+        writer.write_all(&hello).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let (_, response) =
+            castor::rpc::frame::read_response(&mut reader, castor::rpc::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap();
+        assert!(
+            matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::UnsupportedVersion,
+                    ..
+                }
+            ),
+            "version {retired}: {response:?}"
+        );
+        assert!(matches!(
+            castor::rpc::frame::read_response(&mut reader, castor::rpc::DEFAULT_MAX_FRAME_BYTES),
+            Err(FrameError::Closed)
+        ));
+    }
     assert_eq!(rpc.service().server_report().sessions_active, 0);
     // The server is still healthy for well-behaved clients, and every
     // admission slot is accounted for.

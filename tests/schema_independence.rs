@@ -149,7 +149,7 @@ fn random_clause(rng: &mut StdRng, arity: usize) -> Clause {
 /// — mapping any clause through a random lossless decomposition and back
 /// through its inverse composition reproduces the clause literal-for-
 /// literal, whatever joins, constants, and repeated literals it contains.
-/// This is the identity `CanonicalSchema` cache keying stands on.
+/// This is the identity the `CanonicalSchema` lenses stand on.
 #[test]
 fn compose_after_decompose_is_the_identity_on_random_clauses() {
     for seed in 0..40u64 {
@@ -175,10 +175,10 @@ fn compose_after_decompose_is_the_identity_on_random_clauses() {
     }
 }
 
-/// Property: the δτ images of a clause in every UW-CSE variant are
-/// θ-equivalent once pulled through the variant's canonical lens — the
-/// exact condition under which the shared coverage cache may serve one
-/// variant's verdict to another.
+/// Property (Proposition 3.7): the definition mapping δτ relates a clause
+/// to its image in every UW-CSE variant, so the δτ images of one clause,
+/// each pulled back through its variant's canonical lens, are θ-equivalent
+/// to one another — the same hypothesis, whatever schema expresses it.
 #[test]
 fn variant_images_collapse_to_theta_equivalent_canonical_clauses() {
     use castor_logic::subsumption::theta_equivalent;
