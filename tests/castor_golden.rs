@@ -1,13 +1,14 @@
 //! Golden results on UW-CSE.
 //!
 //! * Castor: the learned definition, the number of coverage (θ-subsumption)
-//!   tests and the engine's budget-exhaustion count on the fold-0 training
-//!   split of each of the four schema variants.
+//!   tests, and the engine's budget-exhaustion, cache-hit, cache-miss and
+//!   generality-skip counts on the fold-0 training split of each of the
+//!   four schema variants.
 //! * FOIL: the learned definition, the engine's coverage tests, batched
-//!   sibling groups, shared-prefix hits, suffix forks and budget
-//!   exhaustions on both training splits of each variant, with the
-//!   parameters of the benchmark's `foil-uwcse` workload (constants
-//!   allowed, one thread).
+//!   sibling groups, shared-prefix hits, suffix forks, budget exhaustions,
+//!   cache hits and cache misses on both training splits of each variant,
+//!   with the parameters of the benchmark's `foil-uwcse` workload
+//!   (constants allowed, one thread).
 //!
 //! The values are pinned so that a refactor of the learning path (the
 //! subsumption kernel, coverage engine, reduction or minimization) cannot
@@ -21,38 +22,54 @@ use castor_engine::Engine;
 use castor_learners::{Foil, LearnerParams};
 use std::sync::Arc;
 
-/// `(variant, learned definition, coverage tests, budget exhaustions)`.
-const GOLDEN: [(&str, &str, usize, usize); 4] = [
+/// `(variant, learned definition, coverage tests, budget exhaustions,
+/// cache hits, cache misses, generality skips)`.
+type CastorGolden = (&'static str, &'static str, usize, usize, usize, usize, usize);
+
+const GOLDEN: [CastorGolden; 4] = [
     (
         "Original",
         "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
         575,
         79,
+        226,
+        1129,
+        8,
     ),
     (
         "4NF",
         "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
         524,
         113,
+        178,
+        831,
+        10,
     ),
     (
         "Denormalized-1",
         "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
         575,
         79,
+        231,
+        876,
+        8,
     ),
     (
         "Denormalized-2",
         "advisedBy(V0,V1) ← publication(V2,V1), publication(V2,V0)",
         572,
         99,
+        192,
+        875,
+        11,
     ),
 ];
 
 #[test]
 fn castor_uwcse_fold0_is_pinned() {
     let family = generate(&UwCseConfig::default());
-    let learned: Vec<(String, String, usize, usize)> = family
+    type Row = (String, String, usize, usize, usize, usize, usize);
+    let learned: Vec<Row> = family
         .variants
         .iter()
         .map(|variant| {
@@ -74,22 +91,28 @@ fn castor_uwcse_fold0_is_pinned() {
                 outcome.definition.to_string(),
                 outcome.coverage_tests,
                 outcome.engine.budget_exhausted,
+                outcome.engine.cache_hits,
+                outcome.engine.cache_misses,
+                outcome.engine.generality_skips,
             )
         })
         .collect();
-    let golden: Vec<(String, String, usize, usize)> = GOLDEN
+    let golden: Vec<Row> = GOLDEN
         .iter()
-        .map(|&(n, d, t, e)| (n.to_string(), d.to_string(), t, e))
+        .map(|&(n, d, t, e, h, m, g)| (n.to_string(), d.to_string(), t, e, h, m, g))
         .collect();
     assert_eq!(learned, golden);
 }
 
 /// `(variant, fold, learned definition, coverage tests, batches, batch
-/// prefix hits, batch suffix forks, budget exhaustions)`.
+/// prefix hits, batch suffix forks, budget exhaustions, cache hits, cache
+/// misses)`.
 type FoilGolden = (
     &'static str,
     usize,
     &'static str,
+    usize,
+    usize,
     usize,
     usize,
     usize,
@@ -112,6 +135,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         85062,
         32866,
         0,
+        114789,
+        97467,
     ),
     (
         "4NF",
@@ -127,6 +152,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         170980,
         44090,
         0,
+        68917,
+        172803,
     ),
     (
         "Denormalized-1",
@@ -142,6 +169,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         248105,
         65605,
         0,
+        76309,
+        243706,
     ),
     (
         "Denormalized-2",
@@ -157,6 +186,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         357545,
         96133,
         0,
+        86517,
+        344228,
     ),
     (
         "Original",
@@ -170,6 +201,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         154525,
         27823,
         0,
+        31985,
+        132944,
     ),
     (
         "4NF",
@@ -183,6 +216,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         218736,
         40105,
         0,
+        33705,
+        184521,
     ),
     (
         "Denormalized-1",
@@ -196,6 +231,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         270543,
         47640,
         0,
+        37317,
+        220695,
     ),
     (
         "Denormalized-2",
@@ -206,6 +243,8 @@ const FOIL_GOLDEN: [FoilGolden; 8] = [
         899360,
         299485,
         0,
+        19216,
+        504946,
     ),
 ];
 
@@ -236,13 +275,28 @@ fn foil_uwcse_is_pinned() {
                 report.batch_prefix_hits,
                 report.batch_suffix_forks,
                 report.budget_exhausted,
+                report.cache_hits,
+                report.cache_misses,
             ));
         }
     }
-    type Row = (String, usize, String, usize, usize, usize, usize, usize);
+    type Row = (
+        String,
+        usize,
+        String,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+    );
     let golden: Vec<Row> = FOIL_GOLDEN
         .iter()
-        .map(|&(n, f, d, t, b, p, s, e)| (n.to_string(), f, d.to_string(), t, b, p, s, e))
+        .map(|&(n, f, d, t, b, p, s, e, h, m)| {
+            (n.to_string(), f, d.to_string(), t, b, p, s, e, h, m)
+        })
         .collect();
     assert_eq!(learned, golden);
 }
