@@ -9,13 +9,15 @@
 //!
 //! * materializes the ground bottom clause of every example once (the
 //!   "stored procedure" call per example in the paper's implementation);
-//! * runs pending tests on the persistent [`WorkerPool`] with work-stealing
-//!   over examples (Figure 2's ablation) — no per-call thread spawning, and
-//!   the pool can be shared with the database-evaluation [`castor_engine::Engine`]
-//!   so one learner run drives a single set of workers;
-//! * memoizes results per canonical clause through the shared
-//!   [`castor_engine::CoverageRuntime`], so the covering loop's re-scoring
-//!   of α-equivalent candidates is free;
+//! * plugs a θ-subsumption [`CoverageTester`] into the one coverage
+//!   pipeline of [`castor_engine::CoverageRuntime`]: every entry point —
+//!   [`CoverageEngine::covers`], [`CoverageEngine::covered_set`] and the
+//!   batched calls — deduplicates α-equivalent candidates, folds priors,
+//!   probes the memo cache once, and runs the remaining
+//!   (candidate, example) tests inline or as one flat work list on the
+//!   persistent [`WorkerPool`] (Figure 2's ablation), which can be shared
+//!   with the database-evaluation [`castor_engine::Engine`] so one learner
+//!   run drives a single set of workers;
 //! * exploits the generality order as an engine invariant: pass
 //!   [`Prior::GeneralizationOf`] and everything the parent is known to
 //!   cover is accepted without a test;
@@ -24,7 +26,8 @@
 //!   engine counters instead of hiding them — and memoizes them in the
 //!   cache's budget-keyed exhaustion tier (keyed by the subsumption node
 //!   budget, served only to equal-or-smaller budgets), so exhaustion-heavy
-//!   workloads like HIV stop re-running the same doomed searches.
+//!   workloads like HIV stop re-running the same doomed searches. A test
+//!   under a larger budget overwrites the stored exhaustion on write-back.
 
 use crate::config::CastorConfig;
 use crate::plan::BottomClausePlan;
@@ -67,7 +70,7 @@ impl CoverageEngine {
 
     /// [`CoverageEngine::build`] reusing the caller's worker pool (the
     /// Castor learner passes its evaluation engine's pool so one run drives
-    /// a single set of workers). Cache capacity and the parallel threshold
+    /// a single set of workers). Cache capacity and the per-test budget
     /// come from `config.params.engine_config()`.
     pub fn build_with_pool(
         db: &DatabaseInstance,
@@ -139,18 +142,6 @@ impl CoverageEngine {
         self.runtime.covered_set(self, &canonical, examples, prior)
     }
 
-    /// Positive/negative coverage counts for `clause`.
-    pub fn coverage_counts(
-        &self,
-        clause: &Clause,
-        positive: &[Tuple],
-        negative: &[Tuple],
-    ) -> (usize, usize) {
-        let pos = self.covered_set(clause, positive, Prior::None).len();
-        let neg = self.covered_set(clause, negative, Prior::None).len();
-        (pos, neg)
-    }
-
     /// The covered subsets for a whole beam of candidate clauses at once:
     /// candidates are deduplicated per canonical clause, the memo cache is
     /// probed under one lock for the entire beam, and the remaining
@@ -191,28 +182,16 @@ impl CoverageTester for CoverageEngine {
         )
     }
 
-    fn parallel_task(
-        &self,
-        canonical: &Clause,
-        examples: &Arc<Vec<Tuple>>,
-    ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static> {
-        let ground = Arc::clone(&self.ground);
-        let metrics = Arc::clone(self.runtime.metrics());
-        let clause = canonical.clone();
-        let examples = Arc::clone(examples);
-        let budget = self.budget.clone();
-        Box::new(move |i| test_subsumption(&ground, &metrics, &clause, &examples[i], &budget))
-    }
-
     fn pair_task(
         &self,
-        canonicals: &Arc<Vec<Clause>>,
+        canonicals: &[&Clause],
         examples: &Arc<Vec<Tuple>>,
         pairs: &Arc<Vec<(usize, usize)>>,
     ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static> {
         let ground = Arc::clone(&self.ground);
         let metrics = Arc::clone(self.runtime.metrics());
-        let canonicals = Arc::clone(canonicals);
+        // The workers outlive this call, so they own copies of the clauses.
+        let canonicals: Vec<Clause> = canonicals.iter().map(|&c| c.clone()).collect();
         let examples = Arc::clone(examples);
         let pairs = Arc::clone(pairs);
         let budget = self.budget.clone();
@@ -366,17 +345,16 @@ mod tests {
         let clause = collaborated();
         assert!(engine.covers(&clause, &Tuple::from_strs(&["ann", "bob"])));
         assert!(!engine.covers(&clause, &Tuple::from_strs(&["ann", "carol"])));
-        let (pos, neg) = engine.coverage_counts(
-            &clause,
-            &[
-                Tuple::from_strs(&["ann", "bob"]),
-                Tuple::from_strs(&["carol", "dan"]),
-            ],
-            &[
-                Tuple::from_strs(&["ann", "carol"]),
-                Tuple::from_strs(&["eve", "bob"]),
-            ],
-        );
+        let positive = [
+            Tuple::from_strs(&["ann", "bob"]),
+            Tuple::from_strs(&["carol", "dan"]),
+        ];
+        let negative = [
+            Tuple::from_strs(&["ann", "carol"]),
+            Tuple::from_strs(&["eve", "bob"]),
+        ];
+        let pos = engine.covered_set(&clause, &positive, Prior::None).len();
+        let neg = engine.covered_set(&clause, &negative, Prior::None).len();
         assert_eq!((pos, neg), (2, 0));
     }
 

@@ -25,14 +25,8 @@
 //! served only to probes running with an equal-or-smaller budget (a search
 //! that ran out of `B` nodes certainly runs out of `B' ≤ B`). Probes with a
 //! larger budget treat the entry as a miss and re-evaluate; definite
-//! verdicts always beat exhaustions on write-back.
-//!
-//! Exhaustion entries also *expire*: an entry that loses
-//! [`EXHAUSTION_STRIKE_LIMIT`] consecutive serve attempts to larger budgets
-//! is dropped (counted in [`CoverageCache::exhaustions_evicted`]). A
-//! workload that permanently grows its budget would otherwise leave dead
-//! `ExhaustedAt` entries behind until whole-clause LRU eviction; any
-//! successful serve or write-back refresh resets the strike count.
+//! verdicts always beat exhaustions on write-back, and a larger-budget
+//! exhaustion widens the stored one.
 
 use crate::fx::FxHashMap;
 use castor_logic::{Clause, CoverageOutcome, Term};
@@ -71,14 +65,8 @@ pub fn canonicalize(clause: &Clause) -> Clause {
     Clause { head, body }
 }
 
-/// Consecutive failed serve attempts (probes with a larger budget) after
-/// which an exhaustion entry is dropped — the ROADMAP budget-tier eviction
-/// policy. A successful serve or a write-back refresh resets the count.
-pub const EXHAUSTION_STRIKE_LIMIT: u8 = 3;
-
 /// One memoized verdict. Definite verdicts are budget-independent;
-/// exhaustions remember the node budget they were observed under plus how
-/// many consecutive probes they failed to answer (the eviction strikes).
+/// exhaustions remember the node budget they were observed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CachedVerdict {
     /// The clause covers the example (budget-independent).
@@ -86,9 +74,8 @@ enum CachedVerdict {
     /// The clause does not cover the example (budget-independent).
     NotCovered,
     /// The search exhausted a budget of `budget` nodes; servable to any
-    /// probe with an equal-or-smaller budget. `strikes` counts consecutive
-    /// failed serves to larger budgets (see [`EXHAUSTION_STRIKE_LIMIT`]).
-    ExhaustedAt { budget: usize, strikes: u8 },
+    /// probe with an equal-or-smaller budget.
+    ExhaustedAt { budget: usize },
 }
 
 impl CachedVerdict {
@@ -99,18 +86,9 @@ impl CachedVerdict {
         match outcome {
             CoverageOutcome::Covered => Some(CachedVerdict::Covered),
             CoverageOutcome::NotCovered => Some(CachedVerdict::NotCovered),
-            CoverageOutcome::Exhausted => {
-                scope.map(|budget| CachedVerdict::ExhaustedAt { budget, strikes: 0 })
-            }
+            CoverageOutcome::Exhausted => scope.map(|budget| CachedVerdict::ExhaustedAt { budget }),
         }
     }
-}
-
-/// What one cache probe produced: the servable outcome and whether a dead
-/// exhaustion entry was struck out.
-struct Served {
-    outcome: Option<CoverageOutcome>,
-    evicted: bool,
 }
 
 /// One cached clause: its per-example outcomes plus the recency stamp the
@@ -124,20 +102,18 @@ struct CacheSlot {
 impl CacheSlot {
     /// Merges one observed verdict into the slot. Definite verdicts always
     /// win over exhaustions and are never downgraded. Of two exhaustions the
-    /// larger observed budget is kept (it answers more probes) and the
-    /// refresh resets the eviction strikes.
+    /// larger observed budget is kept (it answers more probes).
     fn absorb(&mut self, example: Tuple, verdict: CachedVerdict) {
         match self.outcomes.entry(example) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let stored = e.get_mut();
                 match (*stored, verdict) {
                     (
-                        CachedVerdict::ExhaustedAt { budget: old, .. },
-                        CachedVerdict::ExhaustedAt { budget: new, .. },
+                        CachedVerdict::ExhaustedAt { budget: old },
+                        CachedVerdict::ExhaustedAt { budget: new },
                     ) => {
                         *stored = CachedVerdict::ExhaustedAt {
                             budget: old.max(new),
-                            strikes: 0,
                         };
                     }
                     (CachedVerdict::ExhaustedAt { .. }, definite) => *stored = definite,
@@ -151,42 +127,17 @@ impl CacheSlot {
         }
     }
 
-    /// Serves one example's verdict to a probe under its exhaustion `scope`,
-    /// applying the budget-tier eviction policy: a probe with a larger
-    /// budget than a cached exhaustion is a *strike*, and an entry that
-    /// collects [`EXHAUSTION_STRIKE_LIMIT`] consecutive strikes is removed
-    /// on the spot. Probes with no comparable budget (`scope == None`)
-    /// neither serve nor strike exhaustions.
-    fn serve_tracked(&mut self, example: &Tuple, scope: Option<usize>) -> Served {
-        let served = |outcome| Served {
-            outcome,
-            evicted: false,
-        };
-        let Some(stored) = self.outcomes.get_mut(example) else {
-            return served(None);
-        };
-        match stored {
-            CachedVerdict::Covered => served(Some(CoverageOutcome::Covered)),
-            CachedVerdict::NotCovered => served(Some(CoverageOutcome::NotCovered)),
-            CachedVerdict::ExhaustedAt { budget, strikes } => match scope {
-                Some(probe) if probe <= *budget => {
-                    *strikes = 0;
-                    served(Some(CoverageOutcome::Exhausted))
-                }
-                Some(_) => {
-                    *strikes += 1;
-                    if *strikes >= EXHAUSTION_STRIKE_LIMIT {
-                        self.outcomes.remove(example);
-                        Served {
-                            outcome: None,
-                            evicted: true,
-                        }
-                    } else {
-                        served(None)
-                    }
-                }
-                None => served(None),
-            },
+    /// Serves one example's verdict to a probe under its exhaustion
+    /// `scope`: a cached exhaustion answers only a probe with an
+    /// equal-or-smaller budget, and never a probe with no comparable budget
+    /// (`scope == None`).
+    fn serve(&self, example: &Tuple, scope: Option<usize>) -> Option<CoverageOutcome> {
+        match *self.outcomes.get(example)? {
+            CachedVerdict::Covered => Some(CoverageOutcome::Covered),
+            CachedVerdict::NotCovered => Some(CoverageOutcome::NotCovered),
+            CachedVerdict::ExhaustedAt { budget } => scope
+                .filter(|&probe| probe <= budget)
+                .map(|_| CoverageOutcome::Exhausted),
         }
     }
 }
@@ -239,8 +190,6 @@ impl CacheInner {
 pub struct CoverageCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
-    /// Exhaustion entries dropped by the budget-tier eviction policy.
-    evicted: std::sync::atomic::AtomicUsize,
 }
 
 impl CoverageCache {
@@ -249,69 +198,7 @@ impl CoverageCache {
         CoverageCache {
             inner: Mutex::new(CacheInner::default()),
             capacity: capacity.max(1),
-            evicted: std::sync::atomic::AtomicUsize::new(0),
         }
-    }
-
-    /// Exhaustion entries dropped so far because they lost
-    /// [`EXHAUSTION_STRIKE_LIMIT`] consecutive serve attempts to
-    /// larger-budget probes.
-    pub fn exhaustions_evicted(&self) -> usize {
-        self.evicted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Removes `canonical`'s slot entirely when serving emptied it (its
-    /// last exhaustion entry was struck out), keeping the recency index in
-    /// lock-step; otherwise touches it when `served` answered something.
-    fn settle_slot(&self, inner: &mut CacheInner, canonical: &Clause, served: bool) {
-        let Some(slot) = inner.slots.get(canonical) else {
-            return;
-        };
-        if slot.outcomes.is_empty() {
-            let stamp = slot.stamp;
-            inner.slots.remove(canonical);
-            inner.recency.remove(&stamp);
-        } else if served {
-            inner.touch(canonical);
-        }
-    }
-
-    /// The cached outcome for `(canonical, example)` servable under the
-    /// probe's exhaustion `scope` (its node budget, or `None` when
-    /// exhaustions are not comparable — see the module docs), if any. A hit
-    /// counts as a use in the LRU order; a failed serve of an exhaustion to
-    /// a larger budget counts an eviction strike.
-    pub fn get(
-        &self,
-        canonical: &Clause,
-        example: &Tuple,
-        scope: Option<usize>,
-    ) -> Option<CoverageOutcome> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = inner.slots.get_mut(canonical)?;
-        let served = slot.serve_tracked(example, scope);
-        if served.evicted {
-            self.evicted
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.settle_slot(&mut inner, canonical, served.outcome.is_some());
-        served.outcome
-    }
-
-    /// Records an outcome for `(canonical, example)` observed under the
-    /// exhaustion `scope`.
-    pub fn insert(
-        &self,
-        canonical: &Clause,
-        example: &Tuple,
-        outcome: CoverageOutcome,
-        scope: Option<usize>,
-    ) {
-        self.insert_many(
-            canonical,
-            std::iter::once((example.clone(), outcome)),
-            scope,
-        );
     }
 
     /// Records a batch of outcomes for one clause under a single lock.
@@ -358,52 +245,31 @@ impl CoverageCache {
         inner.evict_to(self.capacity);
     }
 
-    /// Cached outcomes for a whole batch of examples under one lock (and
-    /// one hashing of the clause key) — the covering loop re-scores the
-    /// same candidate over many examples, so per-example locking dominates
-    /// the hit path otherwise.
-    pub fn get_batch(
-        &self,
-        canonical: &Clause,
-        examples: &[Tuple],
-        scope: Option<usize>,
-    ) -> Vec<Option<CoverageOutcome>> {
-        self.get_batch_multi(std::slice::from_ref(canonical), examples, scope)
-            .pop()
-            .expect("one clause in, one row out")
-    }
-
     /// Cached outcomes for a whole batch of clauses × examples under a
-    /// single lock — the beam-evaluation entry point: one memo probe per
-    /// beam instead of one per candidate.
+    /// single lock — one memo probe per batch instead of one per candidate
+    /// or example. Each outcome is servable under the probe's exhaustion
+    /// `scope` (its node budget, or `None` when exhaustions are not
+    /// comparable — see the module docs). A clause that answers anything
+    /// counts as a use in the LRU order.
     pub fn get_batch_multi(
         &self,
-        canonicals: &[Clause],
+        canonicals: &[&Clause],
         examples: &[Tuple],
         scope: Option<usize>,
     ) -> Vec<Vec<Option<CoverageOutcome>>> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         canonicals
             .iter()
-            .map(|canonical| match inner.slots.get_mut(canonical) {
-                None => vec![None; examples.len()],
-                Some(slot) => {
-                    let mut evictions = 0usize;
-                    let row: Vec<Option<CoverageOutcome>> = examples
-                        .iter()
-                        .map(|e| {
-                            let served = slot.serve_tracked(e, scope);
-                            evictions += served.evicted as usize;
-                            served.outcome
-                        })
-                        .collect();
-                    if evictions > 0 {
-                        self.evicted
-                            .fetch_add(evictions, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    self.settle_slot(&mut inner, canonical, row.iter().any(Option::is_some));
-                    row
+            .map(|&canonical| {
+                let Some(slot) = inner.slots.get(canonical) else {
+                    return vec![None; examples.len()];
+                };
+                let row: Vec<Option<CoverageOutcome>> =
+                    examples.iter().map(|e| slot.serve(e, scope)).collect();
+                if row.iter().any(Option::is_some) {
+                    inner.touch(canonical);
                 }
+                row
             })
             .collect()
     }
@@ -490,6 +356,27 @@ mod tests {
     use super::*;
     use castor_logic::Atom;
 
+    /// Records one verdict through the batch write path.
+    fn record(
+        cache: &CoverageCache,
+        key: &Clause,
+        example: &Tuple,
+        outcome: CoverageOutcome,
+        scope: Option<usize>,
+    ) {
+        cache.insert_many(key, [(example.clone(), outcome)], scope);
+    }
+
+    /// Probes one (clause, example) pair through the batch read path.
+    fn probe(
+        cache: &CoverageCache,
+        key: &Clause,
+        example: &Tuple,
+        scope: Option<usize>,
+    ) -> Option<CoverageOutcome> {
+        cache.get_batch_multi(&[key], std::slice::from_ref(example), scope)[0][0]
+    }
+
     fn clause(x: &str, y: &str, p: &str) -> Clause {
         Clause::new(
             Atom::vars("collaborated", &[x, y]),
@@ -531,11 +418,14 @@ mod tests {
         let key = canonicalize(&clause("x", "y", "p"));
         let e1 = Tuple::from_strs(&["ann", "bob"]);
         let e2 = Tuple::from_strs(&["ann", "carol"]);
-        cache.insert(&key, &e1, CoverageOutcome::Covered, None);
-        cache.insert(&key, &e2, CoverageOutcome::NotCovered, None);
-        assert_eq!(cache.get(&key, &e1, None), Some(CoverageOutcome::Covered));
+        record(&cache, &key, &e1, CoverageOutcome::Covered, None);
+        record(&cache, &key, &e2, CoverageOutcome::NotCovered, None);
         assert_eq!(
-            cache.get(&key, &e2, None),
+            probe(&cache, &key, &e1, None),
+            Some(CoverageOutcome::Covered)
+        );
+        assert_eq!(
+            probe(&cache, &key, &e2, None),
             Some(CoverageOutcome::NotCovered)
         );
         assert_eq!(
@@ -554,7 +444,7 @@ mod tests {
                 Atom::vars(format!("t{i}"), &["x", "y"]),
                 vec![],
             ));
-            cache.insert(&key, &e, CoverageOutcome::Covered, None);
+            record(&cache, &key, &e, CoverageOutcome::Covered, None);
         }
         assert_eq!(cache.len(), 2);
     }
@@ -565,27 +455,28 @@ mod tests {
         let e = Tuple::from_strs(&["a", "b"]);
         let key_of = |name: &str| canonicalize(&Clause::new(Atom::vars(name, &["x", "y"]), vec![]));
         let hot = key_of("hot");
-        cache.insert(&hot, &e, CoverageOutcome::Covered, None);
+        record(&cache, &hot, &e, CoverageOutcome::Covered, None);
         // Keep touching the hot clause while cold clauses stream through.
         for i in 0..6 {
-            cache.insert(
+            record(
+                &cache,
                 &key_of(&format!("cold{i}")),
                 &e,
                 CoverageOutcome::NotCovered,
                 None,
             );
             assert_eq!(
-                cache.get(&hot, &e, None),
+                probe(&cache, &hot, &e, None),
                 Some(CoverageOutcome::Covered),
                 "hot clause evicted after cold{i}"
             );
         }
         // The most recent cold clause survived; earlier ones were evicted.
         assert_eq!(
-            cache.get(&key_of("cold5"), &e, None),
+            probe(&cache, &key_of("cold5"), &e, None),
             Some(CoverageOutcome::NotCovered)
         );
-        assert_eq!(cache.get(&key_of("cold0"), &e, None), None);
+        assert_eq!(probe(&cache, &key_of("cold0"), &e, None), None);
         assert_eq!(cache.len(), 2);
     }
 
@@ -595,7 +486,7 @@ mod tests {
         let key = canonicalize(&clause("x", "y", "p"));
         let e1 = Tuple::from_strs(&["ann", "bob"]);
         let e2 = Tuple::from_strs(&["ann", "carol"]);
-        cache.insert(&key, &e1, CoverageOutcome::Exhausted, None);
+        record(&cache, &key, &e1, CoverageOutcome::Exhausted, None);
         // An all-exhausted first insert must not even create the slot.
         assert!(cache.is_empty());
         cache.insert_many(
@@ -606,8 +497,11 @@ mod tests {
             ],
             None,
         );
-        assert_eq!(cache.get(&key, &e1, None), Some(CoverageOutcome::Covered));
-        assert_eq!(cache.get(&key, &e2, None), None);
+        assert_eq!(
+            probe(&cache, &key, &e1, None),
+            Some(CoverageOutcome::Covered)
+        );
+        assert_eq!(probe(&cache, &key, &e2, None), None);
     }
 
     #[test]
@@ -619,13 +513,16 @@ mod tests {
             Atom::vars("t", &["x"]),
             vec![Atom::vars("unrelated", &["x"])],
         ));
-        cache.insert(&pub_clause, &e, CoverageOutcome::Covered, None);
-        cache.insert(&other, &e, CoverageOutcome::Covered, None);
+        record(&cache, &pub_clause, &e, CoverageOutcome::Covered, None);
+        record(&cache, &other, &e, CoverageOutcome::Covered, None);
         let mutated: std::collections::BTreeSet<String> =
             ["publication".to_string()].into_iter().collect();
         assert_eq!(cache.invalidate_relations(&mutated), 1);
-        assert_eq!(cache.get(&pub_clause, &e, None), None);
-        assert_eq!(cache.get(&other, &e, None), Some(CoverageOutcome::Covered));
+        assert_eq!(probe(&cache, &pub_clause, &e, None), None);
+        assert_eq!(
+            probe(&cache, &other, &e, None),
+            Some(CoverageOutcome::Covered)
+        );
         // Dropped clauses leave no recency residue: filling to capacity
         // still evicts correctly.
         assert_eq!(cache.invalidate_relations(&mutated), 0);
@@ -638,24 +535,24 @@ mod tests {
         let key = canonicalize(&clause("x", "y", "p"));
         let e = Tuple::from_strs(&["ann", "bob"]);
         // Observed under a 100-node budget.
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(100));
+        record(&cache, &key, &e, CoverageOutcome::Exhausted, Some(100));
         // Equal and smaller budgets are served the exhaustion...
         assert_eq!(
-            cache.get(&key, &e, Some(100)),
+            probe(&cache, &key, &e, Some(100)),
             Some(CoverageOutcome::Exhausted)
         );
         assert_eq!(
-            cache.get(&key, &e, Some(10)),
+            probe(&cache, &key, &e, Some(10)),
             Some(CoverageOutcome::Exhausted)
         );
         // ...a larger budget (or an incomparable probe) re-evaluates.
-        assert_eq!(cache.get(&key, &e, Some(101)), None);
-        assert_eq!(cache.get(&key, &e, None), None);
+        assert_eq!(probe(&cache, &key, &e, Some(101)), None);
+        assert_eq!(probe(&cache, &key, &e, None), None);
         // A batched read honors the same tier.
-        let row = cache.get_batch(&key, std::slice::from_ref(&e), Some(50));
-        assert_eq!(row[0], Some(CoverageOutcome::Exhausted));
-        let row = cache.get_batch(&key, std::slice::from_ref(&e), Some(500));
-        assert_eq!(row[0], None);
+        let rows = cache.get_batch_multi(&[&key], &[e.clone(), e.clone()], Some(50));
+        assert_eq!(rows[0], vec![Some(CoverageOutcome::Exhausted); 2]);
+        let rows = cache.get_batch_multi(&[&key], std::slice::from_ref(&e), Some(500));
+        assert_eq!(rows[0][0], None);
     }
 
     #[test]
@@ -663,125 +560,29 @@ mod tests {
         let cache = CoverageCache::default();
         let key = canonicalize(&clause("x", "y", "p"));
         let e = Tuple::from_strs(&["ann", "bob"]);
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(10));
+        record(&cache, &key, &e, CoverageOutcome::Exhausted, Some(10));
         // A later, larger-budget exhaustion widens the servable range.
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(100));
+        record(&cache, &key, &e, CoverageOutcome::Exhausted, Some(100));
         assert_eq!(
-            cache.get(&key, &e, Some(50)),
+            probe(&cache, &key, &e, Some(50)),
             Some(CoverageOutcome::Exhausted)
         );
         // A definite verdict replaces the exhaustion outright...
-        cache.insert(&key, &e, CoverageOutcome::Covered, Some(1_000));
-        assert_eq!(cache.get(&key, &e, Some(5)), Some(CoverageOutcome::Covered));
-        // ...and is never downgraded back to an exhaustion.
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(7));
-        assert_eq!(cache.get(&key, &e, Some(7)), Some(CoverageOutcome::Covered));
-        assert_eq!(cache.get(&key, &e, None), Some(CoverageOutcome::Covered));
-    }
-
-    #[test]
-    fn budget_growing_workload_evicts_dead_exhaustions() {
-        // Regression for the ROADMAP budget-tier eviction policy: a
-        // workload that upgrades its budget forever used to leave dead
-        // `ExhaustedAt` entries behind until whole-clause LRU eviction.
-        let cache = CoverageCache::default();
-        let key = canonicalize(&clause("x", "y", "p"));
-        let examples: Vec<Tuple> = (0..4)
-            .map(|i| Tuple::from_strs(&[&format!("a{i}"), "b"]))
-            .collect();
-        for e in &examples {
-            cache.insert(&key, e, CoverageOutcome::Exhausted, Some(10));
-        }
-        assert_eq!(cache.len(), 1);
-        // Three rounds of probes under ever-larger budgets (each a failed
-        // serve, with no write-back — e.g. the evaluations were cancelled
-        // mid-flight): the entries are struck out on the third round.
-        for (round, budget) in [20usize, 40, 80].iter().enumerate() {
-            for e in &examples {
-                assert_eq!(cache.get(&key, e, Some(*budget)), None);
-            }
-            let expected = if round + 1 >= EXHAUSTION_STRIKE_LIMIT as usize {
-                examples.len()
-            } else {
-                0
-            };
-            assert_eq!(cache.exhaustions_evicted(), expected, "round {round}");
-        }
-        // Nothing is left, not even for the budgets the entries answered.
-        assert_eq!(cache.get(&key, &examples[0], Some(5)), None);
-        assert!(cache.is_empty(), "slot emptied by eviction must be removed");
-        // Recency left no residue: the cache still fills and evicts sanely.
-        let e = Tuple::from_strs(&["x", "y"]);
-        cache.insert(&key, &e, CoverageOutcome::Covered, None);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn successful_serves_reset_eviction_strikes() {
-        let cache = CoverageCache::default();
-        let key = canonicalize(&clause("x", "y", "p"));
-        let e = Tuple::from_strs(&["ann", "bob"]);
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(100));
-        // Two strikes...
-        assert_eq!(cache.get(&key, &e, Some(200)), None);
-        assert_eq!(cache.get(&key, &e, Some(300)), None);
-        // ...then a successful smaller-budget serve resets the count...
+        record(&cache, &key, &e, CoverageOutcome::Covered, Some(1_000));
         assert_eq!(
-            cache.get(&key, &e, Some(50)),
-            Some(CoverageOutcome::Exhausted)
-        );
-        // ...so two more failed serves still do not evict.
-        assert_eq!(cache.get(&key, &e, Some(200)), None);
-        assert_eq!(cache.get(&key, &e, Some(200)), None);
-        assert_eq!(cache.exhaustions_evicted(), 0);
-        assert_eq!(
-            cache.get(&key, &e, Some(100)),
-            Some(CoverageOutcome::Exhausted)
-        );
-        // An incomparable probe (scope None) is not a strike either.
-        cache.get(&key, &e, None);
-        cache.get(&key, &e, Some(200));
-        cache.get(&key, &e, Some(200));
-        assert_eq!(cache.exhaustions_evicted(), 0);
-        // A write-back refresh (budget upgrade) also resets the count.
-        cache.insert(&key, &e, CoverageOutcome::Exhausted, Some(150));
-        cache.get(&key, &e, Some(200));
-        cache.get(&key, &e, Some(200));
-        assert_eq!(cache.exhaustions_evicted(), 0);
-        assert_eq!(
-            cache.get(&key, &e, Some(150)),
-            Some(CoverageOutcome::Exhausted)
-        );
-    }
-
-    #[test]
-    fn batched_reads_strike_and_evict_exhaustions_too() {
-        let cache = CoverageCache::default();
-        let key = canonicalize(&clause("x", "y", "p"));
-        let e1 = Tuple::from_strs(&["ann", "bob"]);
-        let e2 = Tuple::from_strs(&["ann", "carol"]);
-        cache.insert_many(
-            &key,
-            [
-                (e1.clone(), CoverageOutcome::Exhausted),
-                (e2.clone(), CoverageOutcome::Covered),
-            ],
-            Some(10),
-        );
-        for _ in 0..EXHAUSTION_STRIKE_LIMIT {
-            let row = cache.get_batch(&key, &[e1.clone(), e2.clone()], Some(999));
-            assert_eq!(row[0], None);
-            assert_eq!(row[1], Some(CoverageOutcome::Covered));
-        }
-        assert_eq!(cache.exhaustions_evicted(), 1);
-        // The definite verdict survives; the struck exhaustion is gone even
-        // for budgets it used to answer.
-        assert_eq!(cache.get(&key, &e1, Some(5)), None);
-        assert_eq!(
-            cache.get(&key, &e2, Some(5)),
+            probe(&cache, &key, &e, Some(5)),
             Some(CoverageOutcome::Covered)
         );
-        assert_eq!(cache.len(), 1);
+        // ...and is never downgraded back to an exhaustion.
+        record(&cache, &key, &e, CoverageOutcome::Exhausted, Some(7));
+        assert_eq!(
+            probe(&cache, &key, &e, Some(7)),
+            Some(CoverageOutcome::Covered)
+        );
+        assert_eq!(
+            probe(&cache, &key, &e, None),
+            Some(CoverageOutcome::Covered)
+        );
     }
 
     #[test]
@@ -790,14 +591,14 @@ mod tests {
         let e = Tuple::from_strs(&["a", "b"]);
         let key_of = |name: &str| canonicalize(&Clause::new(Atom::vars(name, &["x", "y"]), vec![]));
         let (a, b) = (key_of("a"), key_of("b"));
-        cache.insert(&a, &e, CoverageOutcome::Covered, None);
-        cache.insert(&b, &e, CoverageOutcome::Covered, None);
+        record(&cache, &a, &e, CoverageOutcome::Covered, None);
+        record(&cache, &b, &e, CoverageOutcome::Covered, None);
         // Touch `a` through the multi-clause read path, then overflow: `b`
         // must be the eviction victim.
-        let rows = cache.get_batch_multi(std::slice::from_ref(&a), std::slice::from_ref(&e), None);
+        let rows = cache.get_batch_multi(&[&a], std::slice::from_ref(&e), None);
         assert_eq!(rows[0][0], Some(CoverageOutcome::Covered));
-        cache.insert(&key_of("c"), &e, CoverageOutcome::Covered, None);
-        assert!(cache.get(&a, &e, None).is_some());
-        assert!(cache.get(&b, &e, None).is_none());
+        record(&cache, &key_of("c"), &e, CoverageOutcome::Covered, None);
+        assert!(probe(&cache, &a, &e, None).is_some());
+        assert!(probe(&cache, &b, &e, None).is_none());
     }
 }

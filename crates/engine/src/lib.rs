@@ -38,7 +38,7 @@ pub mod pool;
 pub mod stats;
 
 pub use batch::{BatchItemStats, BatchPlan};
-pub use cache::{canonicalize, CoverageCache, EXHAUSTION_STRIKE_LIMIT};
+pub use cache::{canonicalize, CoverageCache};
 pub use castor_logic::{CoverageOutcome, EvalBudget, DEFAULT_EVAL_NODE_BUDGET};
 pub use castor_relational::fx;
 pub use cost::{CostModel, CostModelKind, HistogramCost, UniformCost};
@@ -102,9 +102,6 @@ pub struct EngineConfig {
     /// Maximum distinct clauses held by the coverage cache (and by the
     /// compiled-plan table).
     pub cache_capacity: usize,
-    /// Minimum pending examples before a `covered_set` call is spread over
-    /// the worker pool.
-    pub parallel_threshold: usize,
     /// The cost model consulted by plan and trie compilation (histogram by
     /// default; [`CostModelKind::Uniform`] is the ablation baseline).
     pub cost_model: CostModelKind,
@@ -117,7 +114,6 @@ impl Default for EngineConfig {
             eval_budget: DEFAULT_EVAL_NODE_BUDGET,
             cache_coverage: true,
             cache_capacity: 16_384,
-            parallel_threshold: 8,
             cost_model: CostModelKind::Histogram,
         }
     }
@@ -189,25 +185,17 @@ pub struct ClauseCounts {
 /// the database-evaluation engine and the subsumption-based coverage engine
 /// in `castor-core` differ only in this trait's methods.
 pub trait CoverageTester {
-    /// Evaluates one (canonical clause, example) pair, counting the test in
-    /// the runtime's metrics.
+    /// Evaluates one (canonical clause, example) pair inline, counting the
+    /// test in the runtime's metrics.
     fn test(&self, canonical: &Clause, example: &Tuple) -> CoverageOutcome;
 
-    /// Builds the `'static` task executed by worker threads for a batch:
-    /// the closure must own (`Arc`-clone) everything it touches.
-    fn parallel_task(
-        &self,
-        canonical: &Clause,
-        examples: &Arc<Vec<Tuple>>,
-    ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static>;
-
-    /// Builds the `'static` task evaluating `(clause slot, example index)`
-    /// pairs from a multi-clause batch — the worker-side counterpart of
-    /// [`CoverageRuntime::covered_sets_batch`]. The closure must own
-    /// (`Arc`-clone) everything it touches.
+    /// Builds the `'static` task worker threads run over a batch's
+    /// `(clause slot, example index)` pairs: task `i` evaluates
+    /// `canonicals[pairs[i].0]` on `examples[pairs[i].1]`. The closure must
+    /// own (`Arc`-clone) everything it touches.
     fn pair_task(
         &self,
-        canonicals: &Arc<Vec<Clause>>,
+        canonicals: &[&Clause],
         examples: &Arc<Vec<Tuple>>,
         pairs: &Arc<Vec<(usize, usize)>>,
     ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static>;
@@ -224,19 +212,32 @@ pub trait CoverageTester {
     }
 }
 
-/// The orchestration shared by every coverage engine: canonical-clause
-/// keying, prior handling (including the generality order), batched memo
-/// lookup/writeback, and worker-pool dispatch. Parameterized by a
-/// [`CoverageTester`] so the database executor and the θ-subsumption tester
-/// stay a single code path. The runtime owns its memo cache; the cache key
-/// of a clause is its α-canonical form.
+/// Pending pairs (or trie cells) below this count run inline: dispatching
+/// them to the worker pool costs more than it saves.
+pub(crate) const PARALLEL_THRESHOLD: usize = 8;
+
+/// A caller-side stage of [`CoverageRuntime::run`] that settles part of a
+/// batch itself after the cache probe: it is handed the batch's unique
+/// canonical clauses and their pending example indices, returns
+/// `(slot, example index, outcome)` verdicts, and removes what it settled
+/// from `pending`. The engine's shared-prefix tries are such a stage.
+pub(crate) type SharedStage<'s> =
+    &'s mut dyn FnMut(&[&Clause], &mut [Vec<usize>]) -> Vec<(usize, usize, CoverageOutcome)>;
+
+/// The orchestration shared by every coverage engine, as one pipeline
+/// ([`CoverageRuntime::run`]): canonical-clause dedup, prior folding (the
+/// generality order), one memo probe for the whole batch, the remaining
+/// `(clause, example)` pairs evaluated inline or on the worker pool, and
+/// one scope-narrowed write-back. Single-clause entry points are
+/// one-clause calls into it. Parameterized by a [`CoverageTester`] so the
+/// database executor and the θ-subsumption tester share it. The runtime
+/// owns its memo cache; the cache key of a clause is its α-canonical form.
 #[derive(Debug)]
 pub struct CoverageRuntime {
     cache: CoverageCache,
     pool: Arc<WorkerPool>,
     metrics: Arc<EngineStats>,
     cache_coverage: bool,
-    parallel_threshold: usize,
 }
 
 impl CoverageRuntime {
@@ -248,7 +249,6 @@ impl CoverageRuntime {
             pool,
             metrics: Arc::new(EngineStats::new()),
             cache_coverage: config.cache_coverage,
-            parallel_threshold: config.parallel_threshold,
         }
     }
 
@@ -263,12 +263,9 @@ impl CoverageRuntime {
         &self.metrics
     }
 
-    /// Snapshot of the runtime counters (including the coverage cache's
-    /// budget-tier eviction count, which the cache tracks itself).
+    /// Snapshot of the runtime counters.
     pub fn report(&self) -> EngineReport {
-        let mut report = self.metrics.snapshot();
-        report.exhaustions_evicted = self.cache.exhaustions_evicted();
-        report
+        self.metrics.snapshot()
     }
 
     /// Drops cached coverage for every clause referencing one of
@@ -288,38 +285,33 @@ impl CoverageRuntime {
         self.cache.clear();
     }
 
-    /// Tri-state coverage test for one example through the memo cache.
+    /// Tri-state coverage test of one canonical clause on one example: a
+    /// one-clause, one-example pass of [`CoverageRuntime::run`].
     pub fn try_covers<T: CoverageTester>(
         &self,
         tester: &T,
         canonical: &Clause,
         example: &Tuple,
     ) -> CoverageOutcome {
-        let scope = tester.exhaustion_scope();
-        if self.cache_coverage {
-            if let Some(outcome) = self.cache.get(canonical, example, scope) {
-                EngineStats::bump(&self.metrics.cache_hits);
-                return outcome;
-            }
-            EngineStats::bump(&self.metrics.cache_misses);
+        let batch = self.run(
+            tester,
+            std::slice::from_ref(canonical),
+            &[],
+            std::slice::from_ref(example),
+            None,
+        );
+        if !batch.covered[0].is_empty() {
+            CoverageOutcome::Covered
+        } else if batch.exhausted[0] > 0 {
+            CoverageOutcome::Exhausted
+        } else {
+            CoverageOutcome::NotCovered
         }
-        let outcome = tester.test(canonical, example);
-        if self.cache_coverage {
-            // Narrow the scope across the test: a cancellation that fired
-            // during it turned an exhaustion into an abort (drop), and a
-            // concurrent budget change must not inflate the stored key.
-            self.cache.insert_many(
-                canonical,
-                std::iter::once((example.clone(), outcome)),
-                narrow_scope(scope, tester.exhaustion_scope()),
-            );
-        }
-        outcome
     }
 
-    /// The subset of `examples` covered by the canonical clause. `prior`
-    /// feeds the generality order; pending examples are spread over the
-    /// worker pool when there are enough of them.
+    /// The subset of `examples` covered by one canonical clause: a
+    /// one-clause pass of [`CoverageRuntime::run`]. `prior` feeds the
+    /// generality order.
     pub fn covered_set<T: CoverageTester>(
         &self,
         tester: &T,
@@ -327,89 +319,19 @@ impl CoverageRuntime {
         examples: &[Tuple],
         prior: Prior<'_>,
     ) -> HashSet<Tuple> {
-        let mut covered: HashSet<Tuple> = HashSet::new();
-        if let Prior::GeneralizationOf(parent) = prior {
-            covered.extend(self.cache.covered_subset(&canonicalize(parent), examples));
-        }
-        let scope = tester.exhaustion_scope();
-        if !covered.is_empty() {
-            EngineStats::add(&self.metrics.generality_skips, covered.len());
-            if self.cache_coverage {
-                self.cache.insert_many(
-                    canonical,
-                    covered
-                        .iter()
-                        .map(|e| (e.clone(), CoverageOutcome::Covered)),
-                    scope,
-                );
-            }
-        }
-
-        // Answer what the cache can (one lock for the whole batch), then
-        // evaluate the remainder.
-        let mut pending: Vec<Tuple> = Vec::new();
-        let cached = if self.cache_coverage {
-            self.cache.get_batch(canonical, examples, scope)
-        } else {
-            vec![None; examples.len()]
-        };
-        let mut hits = 0usize;
-        for (e, cached) in examples.iter().zip(cached) {
-            if covered.contains(e) {
-                continue;
-            }
-            match cached {
-                Some(outcome) => {
-                    hits += 1;
-                    if outcome.is_covered() {
-                        covered.insert(e.clone());
-                    }
-                }
-                None => pending.push(e.clone()),
-            }
-        }
-        if self.cache_coverage {
-            EngineStats::add(&self.metrics.cache_hits, hits);
-            EngineStats::add(&self.metrics.cache_misses, pending.len());
-        }
-        if pending.is_empty() {
-            return covered;
-        }
-
-        let outcomes: Vec<CoverageOutcome> =
-            if self.pool.size() > 1 && pending.len() >= self.parallel_threshold {
-                let examples = Arc::new(pending.clone());
-                let task = tester.parallel_task(canonical, &examples);
-                self.pool.map_indices(examples.len(), task)
-            } else {
-                pending.iter().map(|e| tester.test(canonical, e)).collect()
-            };
-        if self.cache_coverage {
-            // Narrow the scope across the evaluation: mid-flight
-            // cancellations drop the exhaustions, concurrent budget
-            // changes cannot inflate the stored key.
-            self.cache.insert_many(
-                canonical,
-                pending.iter().cloned().zip(outcomes.iter().copied()),
-                narrow_scope(scope, tester.exhaustion_scope()),
-            );
-        }
-        for (e, outcome) in pending.into_iter().zip(outcomes) {
-            if outcome.is_covered() {
-                covered.insert(e);
-            }
-        }
-        covered
+        self.run(
+            tester,
+            std::slice::from_ref(canonical),
+            std::slice::from_ref(&prior),
+            examples,
+            None,
+        )
+        .into_sets()
+        .swap_remove(0)
     }
 
-    /// Per-clause covered subsets for a whole batch of candidate clauses,
-    /// generic over the tester: α-equivalent candidates are deduplicated,
-    /// priors and the memo cache are consulted once per batch (single cache
-    /// lock), and the remaining (clause, example) pairs are evaluated as one
-    /// flat work list on the pool. This is the fallback the trie-backed
-    /// [`Engine`] path shares its pre/post-processing with, and the primary
-    /// batch path of the θ-subsumption coverage engine in `castor-core`.
-    ///
+    /// Per-clause covered subsets for a whole batch of candidate clauses:
+    /// canonicalizes them and runs one pass of [`CoverageRuntime::run`].
     /// `priors` is either empty (no prior knowledge) or exactly one
     /// [`Prior`] per clause.
     pub fn covered_sets_batch<T: CoverageTester>(
@@ -419,62 +341,56 @@ impl CoverageRuntime {
         examples: &[Tuple],
         priors: &[Prior<'_>],
     ) -> Vec<HashSet<Tuple>> {
-        if clauses.is_empty() {
-            return Vec::new();
-        }
-        let scope = tester.exhaustion_scope();
-        let mut prep = self.prepare_batch(clauses, priors, examples, scope);
-        let pairs: Vec<(usize, usize)> = prep
-            .pending
-            .iter()
-            .enumerate()
-            .flat_map(|(slot, exs)| exs.iter().map(move |&ei| (slot, ei)))
-            .collect();
-        if !pairs.is_empty() {
-            let outcomes = self.evaluate_pairs(tester, &prep.unique, examples, &pairs);
-            // Scope narrowed across the evaluation (see `covered_set`).
-            // Split the prep borrows: the canonical clauses stay immutable
-            // while the covered sets absorb the outcomes.
-            let BatchPrep {
-                unique, covered, ..
-            } = &mut prep;
-            self.absorb_pair_outcomes(
-                unique,
-                examples,
-                &pairs,
-                &outcomes,
-                covered,
-                narrow_scope(scope, tester.exhaustion_scope()),
-            );
-        }
-        prep.finish()
+        let canonicals: Vec<Clause> = clauses.iter().map(canonicalize).collect();
+        self.run(tester, &canonicals, priors, examples, None)
+            .into_sets()
     }
 
-    /// The batch pre-pass shared by every batched path: canonicalize and
-    /// deduplicate the candidates, fold per-candidate priors into known
-    /// coverage (counting generality skips and caching the sound ones), and
-    /// answer what the memo cache can under a single lock. What remains is
-    /// the per-slot list of example indices that genuinely need evaluation.
-    fn prepare_batch(
+    /// The coverage pipeline, the only place the runtime probes its cache
+    /// or dispatches tests:
+    ///
+    /// 1. α-equivalent `canonicals` are deduplicated into slots;
+    /// 2. `priors` (empty or one per clause) fold the generality order into
+    ///    known coverage, counted as generality skips and cached;
+    /// 3. one memo probe answers what the cache can, under the tester's
+    ///    exhaustion scope;
+    /// 4. the optional `shared` stage settles pending pairs itself — the
+    ///    probe then opts out of the exhaustion tier (`None` scope), and the
+    ///    stage's exhaustions are never cached, because a shared-prefix trie
+    ///    charges shared probes to every live candidate, so its exhaustions
+    ///    are not node-comparable with per-clause ones;
+    /// 5. the remaining `(slot, example)` pairs run inline or, when there
+    ///    are enough of them, on the worker pool;
+    /// 6. their outcomes are written back under the tester's scope narrowed
+    ///    across the evaluation: a cancellation that fired meanwhile turns
+    ///    exhaustions into aborts (dropped), and a concurrent budget change
+    ///    cannot inflate the stored key.
+    pub(crate) fn run<'c, T: CoverageTester>(
         &self,
-        clauses: &[Clause],
+        tester: &T,
+        canonicals: &'c [Clause],
         priors: &[Prior<'_>],
         examples: &[Tuple],
-        scope: Option<usize>,
-    ) -> BatchPrep {
+        shared: Option<SharedStage<'_>>,
+    ) -> BatchPrep<'c> {
         debug_assert!(
-            priors.is_empty() || priors.len() == clauses.len(),
+            priors.is_empty() || priors.len() == canonicals.len(),
             "priors must be empty or parallel to the clause batch"
         );
-        let mut unique: Vec<Clause> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(clauses.len());
-        let mut index: fx::FxHashMap<Clause, usize> = fx::FxHashMap::default();
-        for clause in clauses {
-            let canonical = canonicalize(clause);
-            let slot = *index.entry(canonical.clone()).or_insert_with(|| {
+        let scope = tester.exhaustion_scope();
+        let probe_scope = if shared.is_some() { None } else { scope };
+        let mut unique: Vec<&Clause> = Vec::new();
+        let mut slot_of: Vec<usize> = Vec::with_capacity(canonicals.len());
+        let mut index: fx::FxHashMap<&Clause, usize> = fx::FxHashMap::default();
+        for canonical in canonicals {
+            // A lone clause needs no dedup index, so it is never hashed here.
+            let slot = match canonicals.len() {
+                1 => 0,
+                _ => *index.entry(canonical).or_insert(unique.len()),
+            };
+            if slot == unique.len() {
                 unique.push(canonical);
-                unique.len() - 1
-            });
+            }
             slot_of.push(slot);
         }
 
@@ -500,7 +416,7 @@ impl CoverageRuntime {
             for (slot, derived) in derived.into_iter().enumerate() {
                 if !derived.is_empty() {
                     self.cache.insert_many(
-                        &unique[slot],
+                        unique[slot],
                         derived.into_iter().map(|e| (e, CoverageOutcome::Covered)),
                         scope,
                     );
@@ -509,28 +425,32 @@ impl CoverageRuntime {
         }
 
         let rows = if self.cache_coverage {
-            self.cache.get_batch_multi(&unique, examples, scope)
+            self.cache.get_batch_multi(&unique, examples, probe_scope)
         } else {
             vec![vec![None; examples.len()]; unique.len()]
         };
-        let mut pending: Vec<Vec<usize>> = vec![Vec::new(); unique.len()];
+        let mut batch = BatchPrep {
+            exhausted: vec![0; unique.len()],
+            pending: vec![Vec::new(); unique.len()],
+            unique,
+            slot_of,
+            covered,
+        };
         let mut hits = 0usize;
         let mut misses = 0usize;
         for (slot, row) in rows.into_iter().enumerate() {
             for (ei, cached) in row.into_iter().enumerate() {
-                if covered[slot].contains(&examples[ei]) {
+                if batch.covered[slot].contains(&examples[ei]) {
                     continue;
                 }
                 match cached {
                     Some(outcome) => {
                         hits += 1;
-                        if outcome.is_covered() {
-                            covered[slot].insert(examples[ei].clone());
-                        }
+                        batch.record(slot, &examples[ei], outcome);
                     }
                     None => {
                         misses += 1;
-                        pending[slot].push(ei);
+                        batch.pending[slot].push(ei);
                     }
                 }
             }
@@ -539,12 +459,28 @@ impl CoverageRuntime {
             EngineStats::add(&self.metrics.cache_hits, hits);
             EngineStats::add(&self.metrics.cache_misses, misses);
         }
-        BatchPrep {
-            unique,
-            slot_of,
-            covered,
-            pending,
+
+        if let Some(stage) = shared {
+            let settled = stage(&batch.unique, &mut batch.pending);
+            self.absorb(&mut batch, examples, &settled, None);
         }
+        let pairs: Vec<(usize, usize)> = batch
+            .pending
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, exs)| exs.iter().map(move |&ei| (slot, ei)))
+            .collect();
+        if !pairs.is_empty() {
+            let outcomes = self.evaluate_pairs(tester, &batch.unique, examples, &pairs);
+            let settled: Vec<(usize, usize, CoverageOutcome)> = pairs
+                .iter()
+                .zip(outcomes)
+                .map(|(&(slot, ei), outcome)| (slot, ei, outcome))
+                .collect();
+            let scope = narrow_scope(scope, tester.exhaustion_scope());
+            self.absorb(&mut batch, examples, &settled, scope);
+        }
+        batch
     }
 
     /// Evaluates a flat `(slot, example index)` work list, on the pool when
@@ -553,76 +489,98 @@ impl CoverageRuntime {
     fn evaluate_pairs<T: CoverageTester>(
         &self,
         tester: &T,
-        unique: &[Clause],
+        unique: &[&Clause],
         examples: &[Tuple],
         pairs: &[(usize, usize)],
     ) -> Vec<CoverageOutcome> {
-        if self.pool.size() > 1 && pairs.len() >= self.parallel_threshold {
-            let canonicals = Arc::new(unique.to_vec());
+        if self.pool.size() > 1 && pairs.len() >= PARALLEL_THRESHOLD {
             let examples = Arc::new(examples.to_vec());
             let pairs = Arc::new(pairs.to_vec());
-            let task = tester.pair_task(&canonicals, &examples, &pairs);
+            let task = tester.pair_task(unique, &examples, &pairs);
             self.pool.map_indices(pairs.len(), task)
         } else {
             pairs
                 .iter()
-                .map(|&(slot, ei)| tester.test(&unique[slot], &examples[ei]))
+                .map(|&(slot, ei)| tester.test(unique[slot], &examples[ei]))
                 .collect()
         }
     }
 
-    /// Writes evaluated pair outcomes back to the memo cache (grouped per
-    /// clause, one lock each) and folds covered verdicts into the per-slot
-    /// covered sets. `unique` are the canonical clauses the pair slots
-    /// index, which are also their cache keys.
-    fn absorb_pair_outcomes(
+    /// Writes settled `(slot, example index, outcome)` verdicts back to the
+    /// memo cache under `scope` (grouped per clause, one lock each) and
+    /// folds them into the batch.
+    fn absorb(
         &self,
-        unique: &[Clause],
+        batch: &mut BatchPrep<'_>,
         examples: &[Tuple],
-        pairs: &[(usize, usize)],
-        outcomes: &[CoverageOutcome],
-        covered: &mut [HashSet<Tuple>],
+        settled: &[(usize, usize, CoverageOutcome)],
         scope: Option<usize>,
     ) {
         if self.cache_coverage {
-            // One pass: bucket outcomes by slot, then one insert_many per
-            // clause that actually evaluated something.
-            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> = vec![Vec::new(); unique.len()];
-            for (&(slot, ei), &outcome) in pairs.iter().zip(outcomes) {
+            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> =
+                vec![Vec::new(); batch.unique.len()];
+            for &(slot, ei, outcome) in settled {
                 by_slot[slot].push((examples[ei].clone(), outcome));
             }
-            for (slot, slot_outcomes) in by_slot.into_iter().enumerate() {
-                if !slot_outcomes.is_empty() {
-                    self.cache.insert_many(&unique[slot], slot_outcomes, scope);
+            for (slot, outcomes) in by_slot.into_iter().enumerate() {
+                if !outcomes.is_empty() {
+                    self.cache.insert_many(batch.unique[slot], outcomes, scope);
                 }
             }
         }
-        for (&(slot, ei), outcome) in pairs.iter().zip(outcomes) {
-            if outcome.is_covered() {
-                covered[slot].insert(examples[ei].clone());
-            }
+        for &(slot, ei, outcome) in settled {
+            batch.record(slot, &examples[ei], outcome);
         }
     }
 }
 
-/// The shared pre-pass state of one batched evaluation: canonical unique
+/// The state of one [`CoverageRuntime::run`] pass: the unique canonical
 /// clauses (also their cache keys), the mapping from the caller's clause
-/// order onto them, known coverage (priors + cache), and the (slot →
-/// example indices) work that still needs evaluation.
-struct BatchPrep {
-    unique: Vec<Clause>,
+/// order onto them, the known coverage and exhaustion count per clause,
+/// and the (slot → example indices) work still to evaluate.
+pub(crate) struct BatchPrep<'c> {
+    unique: Vec<&'c Clause>,
     slot_of: Vec<usize>,
     covered: Vec<HashSet<Tuple>>,
+    exhausted: Vec<usize>,
     pending: Vec<Vec<usize>>,
 }
 
-impl BatchPrep {
-    /// Maps the per-slot covered sets back onto the caller's clause order.
-    fn finish(self) -> Vec<HashSet<Tuple>> {
+impl BatchPrep<'_> {
+    /// Folds one settled verdict into its slot.
+    fn record(&mut self, slot: usize, example: &Tuple, outcome: CoverageOutcome) {
+        match outcome {
+            CoverageOutcome::Covered => {
+                self.covered[slot].insert(example.clone());
+            }
+            CoverageOutcome::Exhausted => self.exhausted[slot] += 1,
+            CoverageOutcome::NotCovered => {}
+        }
+    }
+
+    /// Maps the per-slot covered sets back onto the caller's clause order,
+    /// moving each set out on its last use.
+    fn into_sets(self) -> Vec<HashSet<Tuple>> {
         let BatchPrep {
-            slot_of, covered, ..
+            slot_of,
+            mut covered,
+            ..
         } = self;
-        slot_of.iter().map(|&s| covered[s].clone()).collect()
+        let mut uses = vec![0usize; covered.len()];
+        for &slot in &slot_of {
+            uses[slot] += 1;
+        }
+        slot_of
+            .iter()
+            .map(|&slot| {
+                uses[slot] -= 1;
+                if uses[slot] == 0 {
+                    std::mem::take(&mut covered[slot])
+                } else {
+                    covered[slot].clone()
+                }
+            })
+            .collect()
     }
 }
 
@@ -727,29 +685,19 @@ impl Engine {
     }
 
     /// Builds an engine sharing `db` without copying it, with a private
-    /// worker pool sized by the configuration.
+    /// worker pool sized by the configuration and a private enabled
+    /// observability handle.
     pub fn from_arc(db: Arc<DatabaseInstance>, config: EngineConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(config.threads));
-        Engine::with_pool(db, config, pool)
-    }
-
-    /// Builds an engine sharing `db` and the caller's worker pool — the
-    /// serving layer registers many databases on one `Server` and drives
-    /// every engine off a single set of workers.
-    pub fn with_pool(
-        db: Arc<DatabaseInstance>,
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
         Engine::with_observability(db, config, pool, Obs::enabled_default())
     }
 
-    /// [`Engine::with_pool`] recording into the caller's [`Obs`] handle —
-    /// the serving layer passes its server-wide handle so engine latency
-    /// histograms land in the registry the wire scrape reads, and engine
-    /// spans land in the server's trace ring. Engines built through the
-    /// other constructors get a private enabled handle (histogram names
-    /// are idempotent per registry, so engines sharing a handle share
+    /// Builds an engine sharing `db` and the caller's worker pool, recording
+    /// into the caller's [`Obs`] handle — the serving layer drives every
+    /// engine off one set of workers and passes its server-wide handle so
+    /// engine latency histograms land in the registry the wire scrape
+    /// reads, and engine spans land in the server's trace ring (histogram
+    /// names are idempotent per registry, so engines sharing a handle share
     /// histograms).
     pub fn with_observability(
         db: Arc<DatabaseInstance>,
@@ -1126,26 +1074,6 @@ impl Engine {
         self.runtime.covered_set(self, &canonical, examples, prior)
     }
 
-    /// Positive/negative coverage counts for `clause`.
-    pub fn coverage_counts(
-        &self,
-        clause: &Clause,
-        positive: &[Tuple],
-        negative: &[Tuple],
-    ) -> (usize, usize) {
-        let _gate = self.read_gate();
-        let canonical = canonicalize(clause);
-        let pos = self
-            .runtime
-            .covered_set(self, &canonical, positive, Prior::None)
-            .len();
-        let neg = self
-            .runtime
-            .covered_set(self, &canonical, negative, Prior::None)
-            .len();
-        (pos, neg)
-    }
-
     /// Positive/negative coverage counts for a whole beam of candidate
     /// clauses — the entry point the beam learners score candidates with.
     ///
@@ -1246,61 +1174,67 @@ impl Engine {
         if clauses.is_empty() {
             return Vec::new();
         }
-        let metrics = self.runtime.metrics();
-        EngineStats::add(&metrics.batch_clauses, clauses.len());
+        EngineStats::add(&self.runtime.metrics().batch_clauses, clauses.len());
+        let probe = self.obs.obs.timer();
+        let canonicals: Vec<Clause> = clauses.iter().map(canonicalize).collect();
         if clauses.len() < 2 || examples.is_empty() {
             return self
                 .runtime
-                .covered_sets_batch(self, clauses, examples, priors);
+                .run(self, &canonicals, priors, examples, None)
+                .into_sets();
         }
-        // The batch prep opts out of the exhaustion tier (`None` scope):
-        // trie execution charges shared-prefix probes to every live
-        // candidate, so its exhaustions are not node-comparable with
-        // per-clause-plan ones — an exhaustion is budget-monotone only
-        // under a fixed execution order. Trie-produced exhaustions are
-        // therefore never memoized; lone candidates, which run ordinary
-        // per-clause plans, still write their exhaustions back into the
-        // tier for the non-batched entry points to serve.
-        let probe = self.obs.obs.timer();
-        let mut prep = self.runtime.prepare_batch(clauses, priors, examples, None);
-        probe.stop_ns(&self.obs.cache_probe_ns);
-        self.evaluate_batch_pending(&mut prep, examples);
-        prep.finish()
+        // The tries are the pipeline's shared stage, so the probe phase
+        // (dedup, priors and the memo probe) ends where they start.
+        let mut tries = |unique: &[&Clause], pending: &mut [Vec<usize>]| {
+            probe.stop_ns(&self.obs.cache_probe_ns);
+            self.evaluate_tries(unique, pending, examples)
+        };
+        self.runtime
+            .run(self, &canonicals, priors, examples, Some(&mut tries))
+            .into_sets()
     }
 
-    /// Evaluates every pending (slot, example) pair of a prepared batch:
-    /// head-groups with at least two candidates run through a shared-prefix
-    /// trie compiled for the group (work-stolen over the subtree × example
-    /// grid), lone candidates take the per-clause compiled-plan path.
-    fn evaluate_batch_pending(&self, prep: &mut BatchPrep, examples: &[Tuple]) {
+    /// The shared stage of a batched evaluation: head groups with at least
+    /// two pending candidates run through a shared-prefix trie compiled for
+    /// the group (work-stolen over the subtree × example grid); their pairs
+    /// leave `pending` and come back settled. Lone candidates stay pending
+    /// for the runtime's per-clause compiled plans.
+    fn evaluate_tries(
+        &self,
+        unique: &[&Clause],
+        pending: &mut [Vec<usize>],
+        examples: &[Tuple],
+    ) -> Vec<(usize, usize, CoverageOutcome)> {
         let metrics = self.runtime.metrics();
         let db = self.snapshot();
         let db_stats = self.statistics();
         let model = self.config.cost_model.model();
         let mut groups: fx::FxHashMap<&Atom, Vec<usize>> = fx::FxHashMap::default();
-        for (slot, clause) in prep.unique.iter().enumerate() {
-            if !prep.pending[slot].is_empty() {
+        for (slot, clause) in unique.iter().enumerate() {
+            if !pending[slot].is_empty() {
                 groups.entry(&clause.head).or_default().push(slot);
             }
         }
 
-        let mut singles: Vec<(usize, usize)> = Vec::new();
-        // One trie per head group; its candidate slots are the prepared
-        // batch's slots.
+        // One trie per head group; its candidate slots are the batch's
+        // slots.
         let mut plans: Vec<BatchPlan> = Vec::new();
-        // (slot, example index, outcome) verdicts settled without a search:
-        // empty-bodied candidates are covered iff the head binds.
+        // (slot, example index, outcome) verdicts; empty-bodied candidates
+        // are settled without a search: covered iff the head binds.
         let mut evaluated: Vec<(usize, usize, CoverageOutcome)> = Vec::new();
         let mut trivial_tests = 0usize;
+        // The work grid: rows are trie subtrees (across all head groups),
+        // columns are examples; each cell decides every live candidate of
+        // its subtree for its example. Live masks are per example, in slot
+        // space.
+        let mut masks: Vec<Vec<bool>> = vec![vec![false; unique.len()]; examples.len()];
         for (head, slots) in groups {
             if slots.len() == 1 {
-                let s = slots[0];
-                singles.extend(prep.pending[s].iter().map(|&ei| (s, ei)));
                 continue;
             }
             let group: Vec<(usize, &[Atom])> = slots
                 .iter()
-                .map(|&s| (s, prep.unique[s].body.as_slice()))
+                .map(|&s| (s, unique[s].body.as_slice()))
                 .collect();
             let timer = self.obs.obs.timer();
             let plan = BatchPlan::compile_with(head, &group, &db_stats, model);
@@ -1309,7 +1243,7 @@ impl Engine {
             if !plan.root_accepting.is_empty() {
                 let head_clause = Clause::fact(head.clone());
                 for &s in &plan.root_accepting {
-                    for &ei in &prep.pending[s] {
+                    for &ei in &pending[s] {
                         let outcome =
                             if castor_logic::evaluation::bind_head(&head_clause, &examples[ei])
                                 .is_some()
@@ -1323,61 +1257,55 @@ impl Engine {
                     }
                 }
             }
+            for &s in &slots {
+                for ei in std::mem::take(&mut pending[s]) {
+                    masks[ei][s] = true;
+                }
+            }
             plans.push(plan);
         }
 
-        // The work grid: rows are trie subtrees (across all head groups),
-        // columns are examples; each cell decides every live candidate of
-        // its subtree for its example. Live masks are per example, in slot
-        // space.
         let subtrees: Vec<(usize, usize)> = plans
             .iter()
             .enumerate()
             .flat_map(|(pi, plan)| plan.roots.iter().map(move |&root| (pi, root)))
             .collect();
-        let mut masks: Vec<Vec<bool>> = vec![vec![false; prep.unique.len()]; examples.len()];
-        for (slot, exs) in prep.pending.iter().enumerate() {
-            for &ei in exs {
-                masks[ei][slot] = true;
-            }
-        }
         let batches = plans.len();
         let plans = Arc::new(plans);
         let budget = self.budget_template();
         let cells = subtrees.len() * examples.len();
         type Item = (Vec<(usize, CoverageOutcome)>, BatchItemStats);
-        let items: Vec<Item> =
-            if self.runtime.pool().size() > 1 && cells >= self.config.parallel_threshold {
-                let plans = Arc::clone(&plans);
-                let subtrees_shared = Arc::new(subtrees.clone());
-                let examples_shared = Arc::new(examples.to_vec());
-                let masks = Arc::new(masks);
-                let db = Arc::clone(&db);
-                let budget = budget.clone();
-                self.runtime
-                    .pool()
-                    .map_grid(subtrees.len(), examples.len(), move |row, col| {
-                        let (pi, root) = subtrees_shared[row];
-                        batch::evaluate_subtree(
-                            &plans[pi],
-                            root,
-                            &db,
-                            &examples_shared[col],
-                            &masks[col],
-                            &budget,
-                        )
-                    })
-            } else {
-                let mut out: Vec<Item> = Vec::with_capacity(cells);
-                for &(pi, root) in &subtrees {
-                    for (ei, example) in examples.iter().enumerate() {
-                        out.push(batch::evaluate_subtree(
-                            &plans[pi], root, &db, example, &masks[ei], &budget,
-                        ));
-                    }
+        let items: Vec<Item> = if self.runtime.pool().size() > 1 && cells >= PARALLEL_THRESHOLD {
+            let plans = Arc::clone(&plans);
+            let subtrees_shared = Arc::new(subtrees.clone());
+            let examples_shared = Arc::new(examples.to_vec());
+            let masks = Arc::new(masks);
+            let db = Arc::clone(&db);
+            let budget = budget.clone();
+            self.runtime
+                .pool()
+                .map_grid(subtrees.len(), examples.len(), move |row, col| {
+                    let (pi, root) = subtrees_shared[row];
+                    batch::evaluate_subtree(
+                        &plans[pi],
+                        root,
+                        &db,
+                        &examples_shared[col],
+                        &masks[col],
+                        &budget,
+                    )
+                })
+        } else {
+            let mut out: Vec<Item> = Vec::with_capacity(cells);
+            for &(pi, root) in &subtrees {
+                for (ei, example) in examples.iter().enumerate() {
+                    out.push(batch::evaluate_subtree(
+                        &plans[pi], root, &db, example, &masks[ei], &budget,
+                    ));
                 }
-                out
-            };
+            }
+            out
+        };
 
         let mut agg = BatchItemStats::default();
         for (idx, (outcomes, stats)) in items.into_iter().enumerate() {
@@ -1393,40 +1321,7 @@ impl Engine {
         EngineStats::add(&metrics.batch_suffix_forks, agg.suffix_forks);
         EngineStats::add(&metrics.batches, batches);
 
-        let pairs: Vec<(usize, usize)> = evaluated.iter().map(|&(s, ei, _)| (s, ei)).collect();
-        let outcomes: Vec<CoverageOutcome> = evaluated.iter().map(|&(_, _, o)| o).collect();
-        // Trie-produced exhaustions stay out of the cache (`None` scope):
-        // the trie's per-candidate budget accounting is not comparable with
-        // the per-clause plan path that might answer the same (clause,
-        // example) later. Definite verdicts are cached as usual.
-        {
-            let BatchPrep {
-                unique, covered, ..
-            } = &mut *prep;
-            self.runtime
-                .absorb_pair_outcomes(unique, examples, &pairs, &outcomes, covered, None);
-        }
-
-        if !singles.is_empty() {
-            let scope = self.exhaustion_scope();
-            let outcomes = self
-                .runtime
-                .evaluate_pairs(self, &prep.unique, examples, &singles);
-            // Lone candidates ran ordinary per-clause plans: their
-            // exhaustions keep the budget tier (scope narrowed across the
-            // evaluation, as in `covered_set`).
-            let BatchPrep {
-                unique, covered, ..
-            } = &mut *prep;
-            self.runtime.absorb_pair_outcomes(
-                unique,
-                examples,
-                &singles,
-                &outcomes,
-                covered,
-                narrow_scope(scope, self.exhaustion_scope()),
-            );
-        }
+        evaluated
     }
 }
 
@@ -1444,30 +1339,9 @@ impl CoverageTester for Engine {
         outcome
     }
 
-    fn parallel_task(
-        &self,
-        canonical: &Clause,
-        examples: &Arc<Vec<Tuple>>,
-    ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static> {
-        let db = self.snapshot();
-        let metrics = Arc::clone(self.runtime.metrics());
-        let budget = self.budget_template();
-        let examples = Arc::clone(examples);
-        let plan = self.plan_for(canonical, &self.statistics());
-        Box::new(move |i| {
-            EngineStats::bump(&metrics.coverage_tests);
-            let mut node_budget = budget.clone();
-            let outcome = executor::covers_with_plan(&plan, &db, &examples[i], &mut node_budget);
-            if outcome.is_exhausted() {
-                EngineStats::bump(&metrics.budget_exhausted);
-            }
-            outcome
-        })
-    }
-
     fn pair_task(
         &self,
-        canonicals: &Arc<Vec<Clause>>,
+        canonicals: &[&Clause],
         examples: &Arc<Vec<Tuple>>,
         pairs: &Arc<Vec<(usize, usize)>>,
     ) -> Box<dyn Fn(usize) -> CoverageOutcome + Send + Sync + 'static> {
@@ -1675,7 +1549,8 @@ mod tests {
         let negative = vec![Tuple::from_strs(&["bob", "nobody"])];
         let counts = batched.coverage_counts_batch(&beam, &positive, &negative);
         for (clause, counts) in beam.iter().zip(counts) {
-            let (pos, neg) = solo.coverage_counts(clause, &positive, &negative);
+            let pos = solo.covered_set(clause, &positive, Prior::None).len();
+            let neg = solo.covered_set(clause, &negative, Prior::None).len();
             assert_eq!(
                 (counts.positive, counts.negative),
                 (pos, neg),

@@ -24,7 +24,15 @@ use std::sync::Arc;
 
 /// `(variant, learned definition, coverage tests, budget exhaustions,
 /// cache hits, cache misses, generality skips)`.
-type CastorGolden = (&'static str, &'static str, usize, usize, usize, usize, usize);
+type CastorGolden = (
+    &'static str,
+    &'static str,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+);
 
 const GOLDEN: [CastorGolden; 4] = [
     (
