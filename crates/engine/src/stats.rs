@@ -150,9 +150,6 @@ impl EngineStats {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             generality_skips: self.generality_skips.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            // Owned by the coverage cache, not these counters; the runtime
-            // patches the live number into its reports.
-            exhaustions_evicted: 0,
             plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plans_invalidated: self.plans_invalidated.load(Ordering::Relaxed),
@@ -183,9 +180,6 @@ pub struct EngineReport {
     pub generality_skips: usize,
     /// Tests that ended by budget exhaustion (approximate "not covered").
     pub budget_exhausted: usize,
-    /// Cached exhaustion entries dropped by the budget-tier eviction policy
-    /// (three consecutive failed serves to larger budgets).
-    pub exhaustions_evicted: usize,
     /// Distinct clause plans compiled.
     pub plans_compiled: usize,
     /// Plan lookups served from cache.
@@ -223,7 +217,6 @@ impl EngineReport {
             cache_misses: self.cache_misses + other.cache_misses,
             generality_skips: self.generality_skips + other.generality_skips,
             budget_exhausted: self.budget_exhausted + other.budget_exhausted,
-            exhaustions_evicted: self.exhaustions_evicted + other.exhaustions_evicted,
             plans_compiled: self.plans_compiled + other.plans_compiled,
             plan_cache_hits: self.plan_cache_hits + other.plan_cache_hits,
             plans_invalidated: self.plans_invalidated + other.plans_invalidated,
@@ -255,9 +248,6 @@ impl EngineReport {
             budget_exhausted: self
                 .budget_exhausted
                 .saturating_sub(baseline.budget_exhausted),
-            exhaustions_evicted: self
-                .exhaustions_evicted
-                .saturating_sub(baseline.exhaustions_evicted),
             plans_compiled: self.plans_compiled.saturating_sub(baseline.plans_compiled),
             plan_cache_hits: self
                 .plan_cache_hits
@@ -308,7 +298,6 @@ impl fmt::Display for EngineReport {
             f,
             "tests={} cache={}/{} ({:.0}% hit) \
              generality-skips={} budget-exhausted={} \
-             exhaustions-evicted={} \
              plans={} (+{} reused) \
              batches={}/{} clauses (prefix-hits={} suffix-forks={}) \
              batch-plans={} (+{} reused) \
@@ -320,7 +309,6 @@ impl fmt::Display for EngineReport {
             100.0 * self.cache_hit_rate(),
             self.generality_skips,
             self.budget_exhausted,
-            self.exhaustions_evicted,
             self.plans_compiled,
             self.plan_cache_hits,
             self.batches,

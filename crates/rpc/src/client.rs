@@ -2,8 +2,10 @@
 //!
 //! Requests can be *pipelined*: [`RpcClient::submit`] sends a request and
 //! returns a lightweight [`RpcHandle`] immediately; [`RpcClient::join`]
-//! blocks until that request's response arrives, buffering any other
-//! responses that land first. The convenience methods
+//! (or [`RpcClient::join_covered`] for a coverage request, whose covered
+//! sets arrive as a stream of chunks the client assembles) blocks until
+//! that request's response arrives, buffering any other responses that
+//! land first. The convenience methods
 //! ([`RpcClient::covered_sets`], [`RpcClient::learn`], ...) are
 //! submit-then-join in one call — the same shapes
 //! [`castor_service::Session`] offers in-process, so callers can swap the
@@ -258,6 +260,16 @@ impl RpcHandle {
     }
 }
 
+/// A finished response awaiting [`RpcClient::join`] or
+/// [`RpcClient::join_covered`].
+#[derive(Debug)]
+enum Finished {
+    /// A response frame.
+    Frame(Response),
+    /// The covered sets a coverage request's chunk stream assembled.
+    Covered(Vec<HashSet<Tuple>>),
+}
+
 /// Reassembly state of one request's in-progress response stream.
 #[derive(Debug, Default)]
 struct StreamState {
@@ -276,8 +288,8 @@ pub struct RpcClient {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
     next_id: u64,
-    /// Responses that arrived while waiting for a different request id.
-    pending: HashMap<u64, Response>,
+    /// Responses that finished while waiting for a different request id.
+    pending: HashMap<u64, Finished>,
     /// Partially reassembled response streams, by request id.
     streams: HashMap<u64, StreamState>,
     max_frame_bytes: usize,
@@ -396,20 +408,42 @@ impl RpcClient {
     }
 
     /// Blocks until the response for `handle` arrives (buffering other
-    /// responses), then surfaces typed error frames as [`RpcError`].
+    /// responses), then surfaces typed error frames as [`RpcError`]. A
+    /// coverage request's covered sets are joined with
+    /// [`RpcClient::join_covered`] instead.
     pub fn join(&mut self, handle: RpcHandle) -> Result<Response, RpcError> {
+        match self.wait(handle)? {
+            Finished::Frame(response) => Ok(response),
+            Finished::Covered(_) => Err(RpcError::UnexpectedResponse(
+                "covered sets (join coverage requests with join_covered)".to_string(),
+            )),
+        }
+    }
+
+    /// Blocks until the covered sets of the coverage request `handle`
+    /// have streamed in, and returns them in submitted clause order.
+    pub fn join_covered(&mut self, handle: RpcHandle) -> Result<Vec<HashSet<Tuple>>, RpcError> {
+        match self.wait(handle)? {
+            Finished::Covered(sets) => Ok(sets),
+            Finished::Frame(other) => Err(RpcError::UnexpectedResponse(format!("{other:?}"))),
+        }
+    }
+
+    /// Reads frames until `handle`'s response has finished, surfacing a
+    /// typed error frame as [`RpcError::Remote`].
+    fn wait(&mut self, handle: RpcHandle) -> Result<Finished, RpcError> {
         loop {
-            if let Some(response) = self.pending.remove(&handle.0) {
+            if let Some(finished) = self.pending.remove(&handle.0) {
                 if let Some(start_ns) = self.started.remove(&handle.0) {
                     self.obs.record_since(&self.roundtrip_ns, start_ns);
                 }
-                return match response {
-                    Response::Error {
+                return match finished {
+                    Finished::Frame(Response::Error {
                         code,
                         limit,
                         message,
                         retry_after_ms,
-                    } => Err(RpcError::Remote {
+                    }) => Err(RpcError::Remote {
                         code,
                         limit,
                         message,
@@ -429,7 +463,7 @@ impl RpcClient {
     /// server's flow-control credit once half the initial grant is spent.
     fn accept(&mut self, id: u64, response: Response) -> Result<(), RpcError> {
         let Response::Stream { seq, last, body } = response else {
-            self.pending.insert(id, response);
+            self.pending.insert(id, Finished::Frame(response));
             return Ok(());
         };
         self.consumed_since_grant += 1;
@@ -455,7 +489,7 @@ impl RpcClient {
                 state.chunks.append(&mut sets);
                 if last {
                     let state = self.streams.remove(&id).expect("stream state just touched");
-                    self.pending.insert(id, Response::Covered(state.chunks));
+                    self.pending.insert(id, Finished::Covered(state.chunks));
                 }
             }
         }
@@ -502,14 +536,12 @@ impl RpcClient {
         examples: Vec<Tuple>,
         deadline_ms: Option<u64>,
     ) -> Result<Vec<HashSet<Tuple>>, RpcError> {
-        match self.request(Request::Coverage {
+        let handle = self.submit(Request::Coverage {
             clauses,
             examples,
             deadline_ms,
-        })? {
-            Response::Covered(sets) => Ok(sets),
-            other => Err(RpcError::UnexpectedResponse(format!("{other:?}"))),
-        }
+        })?;
+        self.join_covered(handle)
     }
 
     /// Fused positive/negative scoring — the wire shape of

@@ -743,7 +743,6 @@ impl Wire for EngineReport {
             self.cache_misses,
             self.generality_skips,
             self.budget_exhausted,
-            self.exhaustions_evicted,
             self.plans_compiled,
             self.plan_cache_hits,
             self.plans_invalidated,
@@ -768,7 +767,6 @@ impl Wire for EngineReport {
             cache_misses: r.get_usize()?,
             generality_skips: r.get_usize()?,
             budget_exhausted: r.get_usize()?,
-            exhaustions_evicted: r.get_usize()?,
             plans_compiled: r.get_usize()?,
             plan_cache_hits: r.get_usize()?,
             plans_invalidated: r.get_usize()?,
@@ -881,19 +879,18 @@ mod tests {
             cache_misses: 3,
             generality_skips: 4,
             budget_exhausted: 5,
-            exhaustions_evicted: 6,
-            plans_compiled: 7,
-            plan_cache_hits: 8,
-            plans_invalidated: 9,
-            cache_clauses_invalidated: 10,
-            mutation_batches: 11,
-            batches: 12,
-            batch_clauses: 13,
-            batch_prefix_hits: 14,
-            batch_suffix_forks: 15,
-            batch_plans_compiled: 16,
-            batch_plan_cache_hits: 17,
-            batch_plans_invalidated: 18,
+            plans_compiled: 6,
+            plan_cache_hits: 7,
+            plans_invalidated: 8,
+            cache_clauses_invalidated: 9,
+            mutation_batches: 10,
+            batches: 11,
+            batch_clauses: 12,
+            batch_prefix_hits: 13,
+            batch_suffix_forks: 14,
+            batch_plans_compiled: 15,
+            batch_plan_cache_hits: 16,
+            batch_plans_invalidated: 17,
         });
         roundtrip(ServerReport {
             sessions_accepted: 1,

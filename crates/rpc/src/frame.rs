@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     frame length N (u32 LE) — bytes after this prefix
-//! 4       1     protocol version (PROTOCOL_VERSION = 3)
+//! 4       1     protocol version (PROTOCOL_VERSION = 4)
 //! 5       1     frame kind (request or response discriminant)
 //! 6       8     request id (u64 LE) — echoed verbatim in the response
 //! 14      N-10  payload (kind-specific binary, see `codec`)
@@ -34,8 +34,11 @@ use std::io::{Read, Write};
 /// under client-granted flow-control credit ([`Request::StreamCredit`],
 /// plus an initial-credit field trailing `Hello`). Version 3 dropped two
 /// counters from the `EngineReport` payload; a version-2 peer would decode
-/// its counters shifted, so it is refused like any other version.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// its counters shifted, so it is refused like any other version. Version
+/// 4 dropped one more `EngineReport` counter and the unused `Covered`
+/// response frame (tag `0x82`): covered sets only ever travel as
+/// [`StreamBody::CoveredChunk`] frames.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Stream frames a server may write before it needs a fresh
 /// [`Request::StreamCredit`] grant, when the client's `Hello` carries no
@@ -358,8 +361,8 @@ pub enum StreamBody {
     Progress(LearnProgress),
     /// A slice of a coverage result's per-clause covered sets, in
     /// submitted clause order. The client concatenates chunks; the chunk
-    /// marked `last` completes the response (no separate
-    /// [`Response::Covered`] frame follows).
+    /// marked `last` completes the response. This is the only way covered
+    /// sets travel.
     CoveredChunk(Vec<HashSet<Tuple>>),
 }
 
@@ -401,8 +404,6 @@ impl StreamBody {
 pub enum Response {
     /// The session is open; requests may flow.
     HelloOk,
-    /// Per-clause covered subsets, in submitted clause order.
-    Covered(Vec<HashSet<Tuple>>),
     /// Per-clause positive/negative counts.
     Scores(Vec<castor_engine::ClauseCounts>),
     /// The learned definition.
@@ -458,7 +459,6 @@ impl Response {
     fn kind(&self) -> u8 {
         match self {
             Response::HelloOk => 0x81,
-            Response::Covered(_) => 0x82,
             Response::Scores(_) => 0x83,
             Response::Learned(_) => 0x84,
             Response::Mutated(_) => 0x85,
@@ -474,7 +474,6 @@ impl Response {
     fn encode_payload(&self, w: &mut ByteWriter) {
         match self {
             Response::HelloOk => {}
-            Response::Covered(sets) => sets.encode(w),
             Response::Scores(counts) => counts.encode(w),
             Response::Learned(definition) => definition.encode(w),
             Response::Mutated(summary) => summary.encode(w),
@@ -508,7 +507,6 @@ impl Response {
     fn decode_payload(kind: u8, r: &mut ByteReader<'_>) -> Result<Response, CodecError> {
         Ok(match kind {
             0x81 => Response::HelloOk,
-            0x82 => Response::Covered(Vec::<HashSet<Tuple>>::decode(r)?),
             0x83 => Response::Scores(Vec::<castor_engine::ClauseCounts>::decode(r)?),
             0x84 => Response::Learned(Definition::decode(r)?),
             0x85 => Response::Mutated(MutationSummary::decode(r)?),
@@ -863,9 +861,6 @@ mod tests {
     #[test]
     fn responses_roundtrip_through_frames() {
         roundtrip_response(Response::HelloOk);
-        roundtrip_response(Response::Covered(vec![[Tuple::from_strs(&["a"])]
-            .into_iter()
-            .collect()]));
         roundtrip_response(Response::Error {
             code: ErrorCode::Rejected,
             limit: 4,
@@ -1089,6 +1084,19 @@ mod tests {
             Some(Err((None, FrameError::Version { got: 42 })))
         ));
         assert_eq!(acc.buffered(), 0, "bad frame fully consumed");
+    }
+
+    #[test]
+    fn retired_covered_response_tag_is_malformed() {
+        // `0x82` carried whole covered-set lists before version 4; covered
+        // sets now only stream as chunks.
+        let body = [PROTOCOL_VERSION, 0x82, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        assert!(matches!(
+            read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            Err(FrameError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use castor::logic::{Atom, Clause};
 use castor::relational::{DatabaseInstance, MutationBatch, RelationSymbol, Schema, Tuple};
-use castor::rpc::{Request, Response, RpcClient, RpcConfig, RpcServer};
+use castor::rpc::{Request, RpcClient, RpcConfig, RpcServer};
 use castor::service::{Server, ServerConfig};
 use std::sync::Arc;
 
@@ -69,10 +69,7 @@ fn rpc_job_spans_share_one_trace_id_across_processes() {
         })
         .unwrap();
     let trace = handle.id();
-    match client.join(handle).unwrap() {
-        Response::Covered(sets) => assert_eq!(sets[0].len(), 1),
-        other => panic!("expected covered sets, got {other:?}"),
-    }
+    assert_eq!(client.join_covered(handle).unwrap()[0].len(), 1);
 
     // The wire request id is not a locally minted trace (high bit clear).
     assert_eq!(trace & (1 << 63), 0);

@@ -108,7 +108,6 @@ fn response_corpus() -> Vec<Vec<u8>> {
     let covered: Vec<HashSet<Tuple>> = vec![tuples().into_iter().collect(), HashSet::new()];
     let responses = [
         Response::HelloOk,
-        Response::Covered(covered.clone()),
         Response::Scores(vec![ClauseCounts {
             positive: 3,
             negative: 1,

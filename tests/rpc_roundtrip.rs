@@ -213,10 +213,7 @@ fn pipelined_requests_multiplex_on_one_connection() {
         other => panic!("unexpected response {other:?}"),
     }
     for handle in coverage.into_iter().rev() {
-        match client.join(handle).unwrap() {
-            Response::Covered(sets) => assert_eq!(sets[0].len(), 1),
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(client.join_covered(handle).unwrap()[0].len(), 1);
     }
 }
 
@@ -252,10 +249,10 @@ fn unknown_database_and_bad_first_frame_fail_with_typed_errors() {
             ..
         }
     ));
-    // A Hello stamped with a retired version (1, or 2 with its wider
+    // A Hello stamped with a retired version (1; 2 or 3, with their wider
     // EngineReport): typed UnsupportedVersion frame, then a clean close —
     // and no session was ever opened for it.
-    for retired in [1u8, 2] {
+    for retired in [1u8, 2, 3] {
         let stream = TcpStream::connect(rpc.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut hello = castor::rpc::frame::request_to_bytes(
@@ -473,11 +470,8 @@ fn inflight_cap_rejects_jobs_but_keeps_the_connection() {
     assert!(err.is_admission_rejection());
     // The connection survives the rejection: earlier jobs complete and
     // later ones are accepted once the queue drains.
-    assert!(matches!(
-        client.join(blocker).unwrap(),
-        Response::Covered(_)
-    ));
-    assert!(matches!(client.join(queued).unwrap(), Response::Covered(_)));
+    assert!(client.join_covered(blocker).is_ok());
+    assert!(client.join_covered(queued).is_ok());
     assert!(client
         .covered_sets(vec![triangle()], vec![Tuple::from_strs(&["x"])])
         .is_ok());
@@ -606,9 +600,6 @@ fn round_robin_keeps_a_light_client_ahead_of_a_flooder() {
     );
 
     for handle in flood_handles {
-        assert!(matches!(
-            flooder.join(handle).unwrap(),
-            Response::Covered(_)
-        ));
+        assert!(flooder.join_covered(handle).is_ok());
     }
 }
