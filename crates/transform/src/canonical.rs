@@ -54,40 +54,16 @@ impl CanonicalSchema {
         steps.extend(self.to_canonical.steps().iter().cloned());
         VariantLens { steps }
     }
-
-    /// The lens for the canonical variant itself (the identity).
-    pub fn identity_lens(&self) -> VariantLens {
-        let mut steps = self.to_canonical.invert().steps().to_vec();
-        steps.extend(self.to_canonical.steps().iter().cloned());
-        VariantLens { steps }
-    }
 }
 
 /// The definition mapping δτ from one variant's schema into the canonical
 /// schema, as a reusable step sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariantLens {
     steps: Vec<TransformStep>,
 }
 
 impl VariantLens {
-    /// The trivial lens of a database that *is* its own logical anchor.
-    pub fn identity() -> Self {
-        VariantLens { steps: Vec::new() }
-    }
-
-    /// Whether the lens has no steps at all. A lens built from a non-empty
-    /// round trip (τ⁻¹ then τ) is not step-free even though it acts as the
-    /// identity on clauses.
-    pub fn is_identity(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The underlying step sequence.
-    pub fn steps(&self) -> &[TransformStep] {
-        &self.steps
-    }
-
     /// Maps one clause of the variant schema to the canonical schema.
     pub fn map_clause(&self, clause: &Clause) -> Clause {
         let mut current = clause.clone();
@@ -98,7 +74,9 @@ impl VariantLens {
     }
 
     /// Maps a whole definition of the variant schema to the canonical
-    /// schema.
+    /// schema. Nothing calls it yet; it is kept for the golden check of
+    /// Proposition 3.7, which maps every variant's learned definition
+    /// through its lens and compares the images by θ-equivalence.
     pub fn map_definition(&self, def: &Definition) -> Definition {
         let clauses = def.clauses.iter().map(|c| self.map_clause(c)).collect();
         Definition::new(def.target.clone(), clauses)
@@ -198,29 +176,5 @@ mod tests {
         let a = composed_lens.map_clause(&on_composed);
         let b = decomposed_lens.map_clause(&on_decomposed);
         assert!(theta_equivalent(&a, &b));
-    }
-
-    #[test]
-    fn identity_lens_is_step_free_only_when_trivial() {
-        let base = base_schema();
-        let trivial = CanonicalSchema::anchor(&base, Transformation::identity("id"));
-        assert!(trivial.identity_lens().is_identity());
-        assert!(VariantLens::identity().is_identity());
-
-        let composed = CanonicalSchema::anchor(&base, to_decomposed(&base));
-        let own = composed.identity_lens();
-        assert!(!own.is_identity());
-        // But it acts as the identity on IND-saturated clauses of its own
-        // schema (the form bottom-clause construction produces: every part
-        // of a decomposition group present).
-        let clause = Clause::new(
-            Atom::vars("t", &["x"]),
-            vec![
-                Atom::vars("student", &["x"]),
-                Atom::vars("inPhase", &["x", "ph"]),
-                Atom::vars("yearsInProgram", &["x", "yr"]),
-            ],
-        );
-        assert_eq!(own.map_clause(&clause), clause);
     }
 }
