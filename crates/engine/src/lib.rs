@@ -572,11 +572,7 @@ impl Engine {
 
     /// Boolean coverage test (exhausted budgets count as "not covered").
     pub fn covers(&self, clause: &Clause, example: &Tuple) -> bool {
-        let _gate = self.read_gate();
-        let canonical = canonicalize(clause);
-        self.runtime
-            .try_covers(self, &canonical, example)
-            .is_covered()
+        self.try_covers(clause, example).is_covered()
     }
 
     /// The asymmetric relative minimal generalization of `clause` towards

@@ -58,7 +58,7 @@ fn narrow_scope(start: Option<usize>, end: Option<usize>) -> Option<usize> {
 /// them to the worker pool costs more than it saves.
 pub(crate) const PARALLEL_THRESHOLD: usize = 8;
 
-/// A caller-side stage of [`CoverageRuntime::run`] that settles part of a
+/// A caller-side stage of `CoverageRuntime::run` that settles part of a
 /// batch itself after the cache probe: it is handed the batch's unique
 /// canonical clauses and their pending example indices, returns
 /// `(slot, example index, outcome)` verdicts, and removes what it settled
@@ -67,7 +67,7 @@ pub(crate) type SharedStage<'s> =
     &'s mut dyn FnMut(&[&Clause], &mut [Vec<usize>]) -> Vec<(usize, usize, CoverageOutcome)>;
 
 /// The orchestration shared by every coverage engine, as one pipeline
-/// ([`CoverageRuntime::run`]): canonical-clause dedup, prior folding (the
+/// (`CoverageRuntime::run`): canonical-clause dedup, prior folding (the
 /// generality order), one memo probe for the whole batch, the remaining
 /// `(clause, example)` pairs evaluated inline or on the worker pool, and
 /// one scope-narrowed write-back. Single-clause entry points are
@@ -128,7 +128,7 @@ impl CoverageRuntime {
     }
 
     /// Tri-state coverage test of one canonical clause on one example: a
-    /// one-clause, one-example pass of [`CoverageRuntime::run`].
+    /// one-clause, one-example pass of `CoverageRuntime::run`.
     pub fn try_covers<T: CoverageTester>(
         &self,
         tester: &T,
@@ -152,7 +152,7 @@ impl CoverageRuntime {
     }
 
     /// The subset of `examples` covered by one canonical clause: a
-    /// one-clause pass of [`CoverageRuntime::run`]. `prior` feeds the
+    /// one-clause pass of `CoverageRuntime::run`. `prior` feeds the
     /// generality order.
     pub fn covered_set<T: CoverageTester>(
         &self,
@@ -173,7 +173,7 @@ impl CoverageRuntime {
     }
 
     /// Per-clause covered subsets for a whole batch of candidate clauses:
-    /// canonicalizes them and runs one pass of [`CoverageRuntime::run`].
+    /// canonicalizes them and runs one pass of `CoverageRuntime::run`.
     /// `priors` is either empty (no prior knowledge) or exactly one
     /// [`Prior`] per clause.
     pub fn covered_sets_batch<T: CoverageTester>(
@@ -376,7 +376,7 @@ impl CoverageRuntime {
     }
 }
 
-/// The state of one [`CoverageRuntime::run`] pass: the unique canonical
+/// The state of one `CoverageRuntime::run` pass: the unique canonical
 /// clauses (also their cache keys), the mapping from the caller's clause
 /// order onto them, the known coverage and exhaustion count per clause,
 /// and the (slot → example indices) work still to evaluate.
