@@ -252,7 +252,10 @@ mod tests {
             &castor_logic::Definition::new("hardWorking", vec![bottom4.clone()]),
             &tau,
         );
-        assert!(theta_equivalent(&mapped.clauses[0], &bottom_orig));
+        assert_eq!(
+            theta_equivalent(&mapped.clauses[0], &bottom_orig),
+            Some(true)
+        );
     }
 
     #[test]

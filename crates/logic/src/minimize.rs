@@ -5,9 +5,10 @@
 //! literals, so the identity substitution witnesses it), equivalence holds
 //! exactly when `C` θ-subsumes `C − {L}`, i.e. there is a substitution
 //! mapping `C` into its own subset. Castor minimizes every
-//! bottom-clause and every learned clause this way (Section 7.5.5); the
-//! paper uses a polynomial-time approximation of the subsumption test, which
-//! we mirror by capping the search through the generic subsumption engine.
+//! bottom-clause and every learned clause this way (Section 7.5.5). The
+//! paper uses a polynomial-time approximation of the subsumption test; here
+//! each test runs the exact subsumption kernel under the default evaluation
+//! budget, and a test that exhausts it keeps the literal.
 
 use crate::clause::Clause;
 use crate::subsumption::subsumes;
@@ -16,7 +17,9 @@ use crate::subsumption::subsumes;
 ///
 /// Scans body literals left to right; a literal is dropped when the clause
 /// without it still θ-subsumes the original clause. The result is equivalent
-/// to the input (it subsumes and is subsumed by it).
+/// to the input (it subsumes and is subsumed by it). A subsumption test
+/// that exhausts the default evaluation budget keeps its literal, so the
+/// result is always sound but not necessarily minimal.
 pub fn minimize_clause(clause: &Clause) -> Clause {
     let mut current = clause.clone();
     let mut i = 0;
@@ -67,7 +70,7 @@ mod tests {
         );
         let m = minimize_clause(&c);
         assert_eq!(m.body.len(), 2);
-        assert!(theta_equivalent(&c, &m));
+        assert_eq!(theta_equivalent(&c, &m), Some(true));
     }
 
     #[test]
@@ -83,7 +86,7 @@ mod tests {
         );
         let m = minimize_clause(&c);
         assert_eq!(m.body.len(), 2);
-        assert!(theta_equivalent(&c, &m));
+        assert_eq!(theta_equivalent(&c, &m), Some(true));
     }
 
     #[test]
@@ -133,7 +136,7 @@ mod tests {
             ],
         );
         let m = minimize_clause(&c);
-        assert!(theta_equivalent(&c, &m));
+        assert_eq!(theta_equivalent(&c, &m), Some(true));
         assert!(m.body.len() <= c.body.len());
     }
 }

@@ -4,40 +4,58 @@
 //! `Cθ ⊆ D` (treating clauses as sets of literals). Castor's coverage test
 //! is exactly θ-subsumption of a candidate clause against the ground
 //! bottom-clause of an example (Section 7.5.3); the paper delegates this to
-//! the Resumer2 engine, which this module replaces with a backtracking
-//! matcher with literal ordering and forward-pruning heuristics.
+//! the Resumer2 engine, which this module replaces with a forward-checking
+//! constraint search in the style of Django (Maloberti & Sebag, *Fast
+//! θ-subsumption with constraint satisfaction algorithms*, 2004).
 //!
 //! # The kernel
 //!
-//! Each test first numbers the variables of `C` with dense *slots* and
-//! compiles every literal of `C` into a pattern of slots and constants. The
-//! bindings are a `Vec<Option<&Term>>` indexed by slot, pointing into `D`'s
-//! own terms, so binding a variable copies nothing. Every new binding is
-//! pushed on a *trail*; when a candidate literal of `D` fails (at once or
-//! further down the search), the bindings made since the trail mark taken
-//! before it are undone. The witnessing [`Substitution`] is built once, on
-//! success.
+//! Each body literal of `C` is a constraint variable whose values are the
+//! body literals of `D` it could map onto.
 //!
-//! Invariant: the search visits nodes in exactly the order of the
-//! reference matcher in this module's tests, which clones a
-//! `BTreeMap`-backed substitution per node — same literal order
-//! (duplicates dropped, fewest candidates first, then connected literals
-//! first), same candidate order, one [`EvalBudget::consume`] per candidate
-//! tried — so verdicts, exhaustions and node counts are identical to it.
+//! * *Index.* Each test numbers the variables of `C` with dense *slots*,
+//!   gives every distinct term of `D` a dense id, and turns every body
+//!   literal of `D` whose relation `C` uses into a row of term ids. Those
+//!   rows are indexed once, per relation, by (argument position, term).
+//! * *Domains.* Every open literal of `C` keeps its live candidate rows as
+//!   a sparse set: a permutation of the candidates and a size, so shrinking
+//!   a domain only swaps entries and undoing it only restores the size from
+//!   a trail. Initial domains are filtered by `C`'s constants, the head
+//!   bindings and repeated variables; an empty one fails the test at once.
+//! * *Order.* The search always expands the open literal with the smallest
+//!   live domain. Ties go by a static order: fewest candidates first, then
+//!   literals connected by shared variables to the ones placed before (the
+//!   head's first).
+//! * *Propagation.* Trying a candidate binds the literal's unbound slots,
+//!   and each binding filters the domains of the open literals that use the
+//!   slot: through the index when fewer candidates carry the bound term
+//!   than are live, by scanning the live domain otherwise. A domain that
+//!   empties fails the branch before it is entered. Every live candidate of
+//!   a literal whose slots are all bound is the same row, so such a literal
+//!   is tried once.
+//!
+//! # Budget
+//!
+//! [`EvalBudget::consume`] is called once per candidate tried and once per
+//! candidate examined while filtering (initial domains included), so the
+//! budget bounds the real work and a cancellation or deadline token aborts
+//! the test within one unit of it. `exhausted` is reported only when a
+//! `consume` failed, that is when the budget cut the search short; a test
+//! that decides on its last unit is exact. Wherever the kernel decides, its
+//! verdict is the one a plain backtracking matcher (the oracle in this
+//! module's tests) reaches with an ample budget; node counts and the
+//! witness found may differ from it.
 
 use crate::atom::Atom;
 use crate::clause::Clause;
 use crate::evaluation::EvalBudget;
 use crate::substitution::Substitution;
 use crate::term::Term;
-use std::collections::{HashMap, HashSet};
+use castor_relational::fx::FxHashMap;
+use std::collections::{BTreeSet, HashSet};
 
-/// Backtracking budget for one subsumption test. θ-subsumption is
-/// NP-complete; like the paper's implementation (which uses a restarting
-/// engine and a polynomial approximation for clause minimization), we bound
-/// the search and treat an exhausted budget as "does not subsume". The
-/// budget is generous enough that it is only hit on pathological clauses.
-const NODE_BUDGET: usize = 4_000;
+/// An unbound slot, and a constant of `C` that `D` does not contain.
+const NONE: u32 = u32::MAX;
 
 /// The result of a budgeted subsumption test: the witnessing substitution
 /// (when one was found) plus whether the node budget ran out, in which case
@@ -57,128 +75,366 @@ impl SubsumptionOutcome {
     }
 }
 
-/// Whether `general` θ-subsumes `specific` (an exhausted budget counts as
-/// "does not subsume"; use [`subsumes_with_eval_budget`] to tell the
-/// difference).
+/// Whether `general` θ-subsumes `specific` under the default evaluation
+/// budget (an exhausted budget counts as "does not subsume"; use
+/// [`subsumes_with_eval_budget`] to tell the difference).
 pub fn subsumes(general: &Clause, specific: &Clause) -> bool {
     subsumes_with(general, specific).is_some()
 }
 
-/// Whether `general` θ-subsumes `specific`, returning the witnessing
-/// substitution when it does.
+/// Whether `general` θ-subsumes `specific` under the default evaluation
+/// budget, returning the witnessing substitution when it does.
 pub fn subsumes_with(general: &Clause, specific: &Clause) -> Option<Substitution> {
-    subsumes_with_eval_budget(general, specific, &mut EvalBudget::new(NODE_BUDGET)).witness
+    subsumes_with_eval_budget(general, specific, &mut EvalBudget::default()).witness
 }
 
-/// One argument of a compiled general literal.
+/// One argument of a compiled general body literal.
 #[derive(Clone, Copy)]
-enum Arg<'g> {
-    /// A constant, matched by equality.
-    Const(&'g Term),
-    /// A variable, by slot.
+enum Arg {
+    /// A constant, by term id ([`NONE`] when `D` does not contain it).
+    Const(u32),
+    /// The first occurrence of a variable in the literal, by slot.
     Slot(usize),
-}
-
-/// A general body literal compiled for the search: its arguments and the
-/// specific body literals of the same relation (their term lists), in
-/// clause order.
-struct Pattern<'g, 's> {
-    args: Vec<Arg<'g>>,
-    candidates: &'s [&'s [Term]],
+    /// A later occurrence of a variable: the term at this earlier position.
+    Same(usize),
 }
 
 /// Variable slots of the general clause, numbered in first-seen order.
 #[derive(Default)]
 struct Slots<'g> {
-    index: HashMap<&'g str, usize>,
+    index: FxHashMap<&'g str, usize>,
     names: Vec<&'g str>,
 }
 
 impl<'g> Slots<'g> {
-    fn compile(&mut self, atom: &'g Atom) -> Vec<Arg<'g>> {
-        atom.terms
-            .iter()
-            .map(|term| match term {
-                Term::Const(_) => Arg::Const(term),
-                Term::Var(name) => Arg::Slot(*self.index.entry(name).or_insert_with(|| {
-                    self.names.push(name);
-                    self.names.len() - 1
-                })),
-            })
-            .collect()
+    fn slot(&mut self, name: &'g str) -> usize {
+        *self.index.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            self.names.len() - 1
+        })
     }
 }
 
-/// Slot bindings into the specific clause, with the trail of slots bound
-/// since the search began.
-struct Bindings<'s> {
-    bound: Vec<Option<&'s Term>>,
-    trail: Vec<usize>,
+/// The candidate rows of one relation (name and arity) of `D`.
+struct Group {
+    arity: usize,
+    len: usize,
+    /// Row `c` is `rows[c * arity..][..arity]`.
+    rows: Vec<u32>,
 }
 
-impl<'s> Bindings<'s> {
-    /// Extends the bindings so that `args` maps onto `terms`. Constants must
-    /// match exactly; a bound slot must agree, an unbound one binds. On
-    /// failure the bindings are left as they were.
-    fn unify(&mut self, args: &[Arg<'_>], terms: &'s [Term]) -> bool {
-        if args.len() != terms.len() {
-            return false;
-        }
-        let mark = self.trail.len();
-        for (arg, term) in args.iter().zip(terms) {
-            let ok = match *arg {
-                Arg::Const(c) => c == term,
-                Arg::Slot(slot) => match self.bound[slot] {
-                    Some(bound) => bound == term,
-                    None => {
-                        self.bound[slot] = Some(term);
-                        self.trail.push(slot);
-                        true
-                    }
-                },
-            };
-            if !ok {
-                self.undo(mark);
-                return false;
-            }
-        }
-        true
+impl Group {
+    fn row(&self, c: u32) -> &[u32] {
+        &self.rows[c as usize * self.arity..][..self.arity]
+    }
+}
+
+/// The specific clause interned for one test.
+struct Index<'s> {
+    /// Term id → term.
+    terms: Vec<&'s Term>,
+    ids: FxHashMap<&'s Term, u32>,
+    groups: Vec<Group>,
+    /// The candidates of every (group, position, term), each a range of
+    /// `postings`.
+    postings: Vec<u32>,
+    ranges: FxHashMap<(u32, u32, u32), (u32, u32)>,
+}
+
+impl<'s> Index<'s> {
+    fn intern(&mut self, term: &'s Term) -> u32 {
+        let next = self.terms.len() as u32;
+        *self.ids.entry(term).or_insert_with(|| {
+            self.terms.push(term);
+            next
+        })
     }
 
-    /// Unbinds every slot bound since the trail was `mark` long.
-    fn undo(&mut self, mark: usize) {
-        for slot in self.trail.drain(mark..) {
-            self.bound[slot] = None;
-        }
-    }
-
-    /// Matches `patterns` in order, backtracking over each one's
-    /// candidates; on success the bindings hold the witness.
-    fn search(
-        &mut self,
-        patterns: &[Pattern<'_, 's>],
-        budget: &mut EvalBudget,
-        exhausted: &mut bool,
-    ) -> bool {
-        let Some((pattern, rest)) = patterns.split_first() else {
-            return true;
+    /// Interns the body literals of `specific` whose relation and arity
+    /// `group_of` names, and indexes each group by (position, term).
+    fn build(specific: &'s Clause, group_of: &FxHashMap<(&str, usize), usize>) -> Self {
+        let mut index = Index {
+            terms: Vec::new(),
+            ids: FxHashMap::default(),
+            groups: Vec::new(),
+            postings: Vec::new(),
+            ranges: FxHashMap::default(),
         };
-        for &candidate in pattern.candidates {
-            if !budget.consume() {
-                // The search was actually cut short (budget dry or the
-                // cancellation token set): only now is a negative answer
-                // approximate (a run that consumed its whole budget on its
-                // final node still decided the question exactly).
-                *exhausted = true;
-                return false;
-            }
-            let mark = self.trail.len();
-            if self.unify(&pattern.args, candidate) && self.search(rest, budget, exhausted) {
-                return true;
-            }
-            self.undo(mark);
+        for term in &specific.head.terms {
+            index.intern(term);
         }
-        false
+        let mut groups: Vec<Group> = (0..group_of.len())
+            .map(|_| Group {
+                arity: 0,
+                len: 0,
+                rows: Vec::new(),
+            })
+            .collect();
+        for (&(_, arity), &g) in group_of {
+            groups[g].arity = arity;
+        }
+        let mut entries: Vec<(u32, u32, u32, u32)> = Vec::new();
+        for atom in &specific.body {
+            let Some(&g) = group_of.get(&(atom.relation.as_str(), atom.terms.len())) else {
+                continue;
+            };
+            let c = groups[g].len as u32;
+            groups[g].len += 1;
+            for (p, term) in atom.terms.iter().enumerate() {
+                let id = index.intern(term);
+                groups[g].rows.push(id);
+                entries.push((g as u32, p as u32, id, c));
+            }
+        }
+        entries.sort_unstable();
+        index.postings = entries.iter().map(|e| e.3).collect();
+        let mut start = 0;
+        for (i, e) in entries.iter().enumerate() {
+            if entries
+                .get(i + 1)
+                .is_none_or(|next| (next.0, next.1, next.2) != (e.0, e.1, e.2))
+            {
+                index
+                    .ranges
+                    .insert((e.0, e.1, e.2), (start as u32, i as u32 + 1));
+                start = i + 1;
+            }
+        }
+        index.groups = groups;
+        index
+    }
+
+    /// The candidates of group `g` with `term` at `position`.
+    fn postings(&self, g: usize, position: usize, term: u32) -> &[u32] {
+        match self.ranges.get(&(g as u32, position as u32, term)) {
+            Some(&(start, end)) => &self.postings[start as usize..end as usize],
+            None => &[],
+        }
+    }
+}
+
+/// A general body literal compiled for the search.
+struct Literal {
+    group: usize,
+    args: Vec<Arg>,
+    /// Offset of the literal's candidate permutation in [`Search::items`].
+    items: usize,
+    /// Offset of its candidate → permutation-position map in
+    /// [`Search::pos`] (one entry per candidate of the group).
+    pos: usize,
+}
+
+/// The budget ran out, or an abort token was set.
+struct Cut;
+
+/// The search state: slot bindings and literal domains, each with a trail.
+struct Search<'i, 's, 'b> {
+    index: &'i Index<'s>,
+    /// Literals in static order: a literal's index is its tie-break rank.
+    lits: Vec<Literal>,
+    /// For slot `s`, the (literal, first position) pairs using it are
+    /// `uses[use_start[s]..use_start[s + 1]]`.
+    use_start: Vec<usize>,
+    uses: Vec<(usize, usize)>,
+    /// Slot → term id, or [`NONE`].
+    bound: Vec<u32>,
+    trail: Vec<usize>,
+    items: Vec<u32>,
+    pos: Vec<u32>,
+    size: Vec<usize>,
+    /// (literal, size before a filter shrank it).
+    shrunk: Vec<(usize, usize)>,
+    /// Open literals keyed by (live domain size, rank).
+    open: BTreeSet<(usize, usize)>,
+    budget: &'b mut EvalBudget,
+}
+
+impl Search<'_, '_, '_> {
+    fn charge(&mut self) -> Result<(), Cut> {
+        // Only a failed `consume` makes a negative answer approximate: a
+        // search that spends its whole budget on its final unit decided.
+        if self.budget.consume() {
+            Ok(())
+        } else {
+            Err(Cut)
+        }
+    }
+
+    /// Whether candidate `row` is consistent with the constants, the bound
+    /// slots and the repeated variables of `args`.
+    fn consistent(&self, args: &[Arg], row: &[u32]) -> bool {
+        args.iter().zip(row).all(|(arg, &term)| match *arg {
+            Arg::Const(c) => term == c,
+            Arg::Slot(s) => self.bound[s] == NONE || self.bound[s] == term,
+            Arg::Same(q) => term == row[q],
+        })
+    }
+
+    /// Fills the initial domain of every literal, in order, charging each
+    /// candidate examined. `Ok(false)` when a domain is empty.
+    fn init_domains(&mut self) -> Result<bool, Cut> {
+        let index = self.index;
+        for lit in 0..self.lits.len() {
+            let group = &index.groups[self.lits[lit].group];
+            let args = std::mem::take(&mut self.lits[lit].args);
+            // The fixed argument with the fewest candidates picks the rows
+            // to examine; without one, every row is a candidate.
+            let fixed = args
+                .iter()
+                .enumerate()
+                .filter_map(|(p, arg)| match *arg {
+                    Arg::Const(c) => Some((p, c)),
+                    Arg::Slot(s) if self.bound[s] != NONE => Some((p, self.bound[s])),
+                    _ => None,
+                })
+                .map(|(p, term)| index.postings(self.lits[lit].group, p, term))
+                .min_by_key(|hits| hits.len());
+            let constrained = fixed.is_some() || args.iter().any(|arg| matches!(arg, Arg::Same(_)));
+            let start = self.items.len();
+            let count = fixed.map_or(group.len, <[u32]>::len);
+            for i in 0..count {
+                let c = fixed.map_or(i as u32, |hits| hits[i]);
+                if constrained {
+                    self.charge()?;
+                    if !self.consistent(&args, group.row(c)) {
+                        continue;
+                    }
+                }
+                self.items.push(c);
+            }
+            self.lits[lit].args = args;
+            let size = self.items.len() - start;
+            if size == 0 {
+                return Ok(false);
+            }
+            let pos = self.pos.len();
+            self.pos.resize(pos + group.len, NONE);
+            for (i, &c) in self.items[start..].iter().enumerate() {
+                self.pos[pos + c as usize] = i as u32;
+            }
+            self.lits[lit].items = start;
+            self.lits[lit].pos = pos;
+            self.size.push(size);
+            self.open.insert((size, lit));
+        }
+        Ok(true)
+    }
+
+    /// Swaps the entries at permutation positions `i` and `j` of `lit`.
+    fn swap(&mut self, lit: usize, i: usize, j: usize) {
+        let (items, pos) = (self.lits[lit].items, self.lits[lit].pos);
+        let (a, b) = (self.items[items + i], self.items[items + j]);
+        self.items[items + i] = b;
+        self.items[items + j] = a;
+        self.pos[pos + a as usize] = j as u32;
+        self.pos[pos + b as usize] = i as u32;
+    }
+
+    /// Restricts the domain of open literal `lit` to the candidates with
+    /// `term` at `position`; `Ok(false)` when it empties.
+    fn filter(&mut self, lit: usize, position: usize, term: u32) -> Result<bool, Cut> {
+        let index = self.index;
+        let group = self.lits[lit].group;
+        let old = self.size[lit];
+        let hits = index.postings(group, position, term);
+        let mut live = 0;
+        if old <= hits.len() {
+            // Scan the live domain, swapping misses behind its end.
+            live = old;
+            let mut i = 0;
+            while i < live {
+                self.charge()?;
+                let c = self.items[self.lits[lit].items + i];
+                if index.groups[group].row(c)[position] == term {
+                    i += 1;
+                } else {
+                    live -= 1;
+                    self.swap(lit, i, live);
+                }
+            }
+        } else {
+            // Walk the index, swapping live hits to the front.
+            for &c in hits {
+                self.charge()?;
+                let at = self.pos[self.lits[lit].pos + c as usize] as usize;
+                if at < old {
+                    self.swap(lit, at, live);
+                    live += 1;
+                }
+            }
+        }
+        if live != old {
+            self.shrunk.push((lit, old));
+            self.size[lit] = live;
+            self.open.remove(&(old, lit));
+            self.open.insert((live, lit));
+        }
+        Ok(live > 0)
+    }
+
+    /// Maps `lit` onto candidate `c`: binds its unbound slots and filters
+    /// the open literals that use them. `Ok(false)` when a domain empties.
+    fn assign(&mut self, lit: usize, c: u32) -> Result<bool, Cut> {
+        let index = self.index;
+        let row = index.groups[self.lits[lit].group].row(c);
+        let mark = self.trail.len();
+        for (p, &term) in row.iter().enumerate() {
+            if let Arg::Slot(s) = self.lits[lit].args[p] {
+                if self.bound[s] == NONE {
+                    self.bound[s] = term;
+                    self.trail.push(s);
+                }
+            }
+        }
+        for t in mark..self.trail.len() {
+            let s = self.trail[t];
+            for u in self.use_start[s]..self.use_start[s + 1] {
+                // Every other literal using a slot that was unbound is open:
+                // assigning a literal binds all of its slots.
+                let (other, position) = self.uses[u];
+                if other != lit && !self.filter(other, position, self.bound[s])? {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Unbinds the slots and restores the domain sizes recorded since the
+    /// trails were `trail` and `shrunk` long.
+    fn undo(&mut self, trail: usize, shrunk: usize) {
+        for s in self.trail.drain(trail..) {
+            self.bound[s] = NONE;
+        }
+        for (lit, old) in self.shrunk.drain(shrunk..).rev() {
+            self.open.remove(&(self.size[lit], lit));
+            self.open.insert((old, lit));
+            self.size[lit] = old;
+        }
+    }
+
+    /// Expands the open literal with the smallest live domain; on success
+    /// the bindings hold the witness.
+    fn search(&mut self) -> Result<bool, Cut> {
+        let Some((size, lit)) = self.open.pop_first() else {
+            return Ok(true);
+        };
+        let bound = &self.bound;
+        let fully_bound = self.lits[lit].args.iter().all(|arg| match *arg {
+            Arg::Slot(s) => bound[s] != NONE,
+            _ => true,
+        });
+        for i in 0..if fully_bound { 1 } else { size } {
+            self.charge()?;
+            let c = self.items[self.lits[lit].items + i];
+            let (trail, shrunk) = (self.trail.len(), self.shrunk.len());
+            if self.assign(lit, c)? && self.search()? {
+                return Ok(true);
+            }
+            self.undo(trail, shrunk);
+        }
+        self.open.insert((size, lit));
+        Ok(false)
     }
 }
 
@@ -205,93 +461,185 @@ pub fn subsumes_with_eval_budget(
     {
         return decided(None);
     }
-    let mut slots = Slots::default();
-    let head = slots.compile(&general.head);
-
-    // Index the specific clause's body literals by relation name so each
-    // general literal only tries compatible candidates.
-    let mut by_relation: HashMap<&str, Vec<&[Term]>> = HashMap::new();
-    for atom in &specific.body {
-        by_relation
-            .entry(atom.relation.as_str())
-            .or_default()
-            .push(&atom.terms);
-    }
 
     // Deduplicate general body literals (duplicates map to the same target
-    // and only multiply the search), keeping first occurrences. Fail fast:
-    // a general literal whose relation does not appear in the specific
-    // clause can never be matched.
+    // and only multiply the search), keeping first occurrences, and give
+    // each relation (name and arity) a group of candidates.
     let mut seen: HashSet<&Atom> = HashSet::new();
-    let mut patterns = Vec::new();
-    for atom in &general.body {
-        if !seen.insert(atom) {
-            continue;
-        }
-        let Some(candidates) = by_relation.get(atom.relation.as_str()) else {
+    let atoms: Vec<&Atom> = general.body.iter().filter(|a| seen.insert(*a)).collect();
+    let mut group_of: FxHashMap<(&str, usize), usize> = FxHashMap::default();
+    for atom in &atoms {
+        let next = group_of.len();
+        group_of
+            .entry((atom.relation.as_str(), atom.terms.len()))
+            .or_insert(next);
+    }
+    let index = Index::build(specific, &group_of);
+
+    let mut slots = Slots::default();
+    let mut bound: Vec<u32> = Vec::new();
+    for (g, s) in general.head.terms.iter().zip(&specific.head.terms) {
+        let ok = match g {
+            Term::Const(_) => g == s,
+            Term::Var(name) => {
+                let slot = slots.slot(name);
+                let term = index.ids[s];
+                if slot == bound.len() {
+                    bound.push(term);
+                }
+                bound[slot] == term
+            }
+        };
+        if !ok {
             return decided(None);
-        };
-        patterns.push(Pattern {
-            args: slots.compile(atom),
-            candidates,
-        });
+        }
     }
 
-    let mut bindings = Bindings {
-        bound: vec![None; slots.names.len()],
-        trail: Vec::new(),
-    };
-    if !bindings.unify(&head, &specific.head.terms) {
-        return decided(None);
-    }
+    // Compile the literals, fewest candidates first (stable, so ties keep
+    // clause order).
+    let mut lits: Vec<Literal> = atoms
+        .iter()
+        .map(|atom| {
+            let group = group_of[&(atom.relation.as_str(), atom.terms.len())];
+            let args = atom
+                .terms
+                .iter()
+                .enumerate()
+                .map(|(p, term)| match term {
+                    Term::Const(_) => Arg::Const(index.ids.get(term).copied().unwrap_or(NONE)),
+                    Term::Var(name) => {
+                        let slot = slots.slot(name);
+                        match atom.terms[..p].iter().position(|t| t == term) {
+                            Some(q) => Arg::Same(q),
+                            None => Arg::Slot(slot),
+                        }
+                    }
+                })
+                .collect();
+            Literal {
+                group,
+                args,
+                items: 0,
+                pos: 0,
+            }
+        })
+        .collect();
+    lits.sort_by_key(|l| index.groups[l.group].len);
+    let head_slots = bound.len();
+    bound.resize(slots.names.len(), NONE);
 
-    // Order the literals: fewest candidate matches first, and among those
-    // prefer literals connected by shared variables to the ones already
-    // placed (the head's first) — both prune the search dramatically on
-    // the long clauses produced by bottom-up learners.
-    patterns.sort_by_key(|p| p.candidates.len());
-    let slot_of = |arg: &Arg<'_>| match *arg {
-        Arg::Slot(slot) => Some(slot),
-        Arg::Const(_) => None,
-    };
+    // Static tie-break order: among the remaining literals, the first one
+    // sharing a slot with those already placed (the head's first), else
+    // the first one.
+    let mut uses: Vec<(usize, usize, usize)> = Vec::new();
+    for (lit, l) in lits.iter().enumerate() {
+        for (p, arg) in l.args.iter().enumerate() {
+            if let Arg::Slot(s) = *arg {
+                uses.push((s, lit, p));
+            }
+        }
+    }
+    uses.sort_unstable();
+    let mut use_start = vec![0; slots.names.len() + 1];
+    for &(s, _, _) in &uses {
+        use_start[s + 1] += 1;
+    }
+    for s in 0..slots.names.len() {
+        use_start[s + 1] += use_start[s];
+    }
     let mut placed = vec![false; slots.names.len()];
-    for slot in head.iter().filter_map(slot_of) {
-        placed[slot] = true;
-    }
-    let mut ordered = Vec::with_capacity(patterns.len());
-    while !patterns.is_empty() {
-        let pos = patterns
-            .iter()
-            .position(|p| p.args.iter().filter_map(slot_of).any(|slot| placed[slot]))
-            .unwrap_or(0);
-        let pattern = patterns.remove(pos);
-        for slot in pattern.args.iter().filter_map(slot_of) {
-            placed[slot] = true;
+    let mut ranked = vec![false; lits.len()];
+    let mut frontier: BTreeSet<usize> = BTreeSet::new();
+    let mut order: Vec<usize> = Vec::with_capacity(lits.len());
+    let mut place = |s: usize, frontier: &mut BTreeSet<usize>| {
+        if !std::mem::replace(&mut placed[s], true) {
+            frontier.extend(uses[use_start[s]..use_start[s + 1]].iter().map(|u| u.1));
         }
-        ordered.push(pattern);
+    };
+    for s in 0..head_slots {
+        place(s, &mut frontier);
     }
-
-    let mut exhausted = false;
-    if !bindings.search(&ordered, budget, &mut exhausted) {
-        return SubsumptionOutcome {
-            witness: None,
-            exhausted,
+    let mut next = 0;
+    while order.len() < lits.len() {
+        let lit = loop {
+            let lit = match frontier.pop_first() {
+                Some(lit) => lit,
+                None => {
+                    next += 1;
+                    next - 1
+                }
+            };
+            if !ranked[lit] {
+                break lit;
+            }
         };
-    }
-    let mut theta = Substitution::new();
-    for (name, term) in slots.names.iter().zip(&bindings.bound) {
-        if let Some(term) = term {
-            theta.bind(*name, (*term).clone());
+        ranked[lit] = true;
+        order.push(lit);
+        for arg in &lits[lit].args {
+            if let Arg::Slot(s) = *arg {
+                place(s, &mut frontier);
+            }
         }
     }
-    decided(Some(theta))
+    let mut rank = vec![0; lits.len()];
+    for (r, &lit) in order.iter().enumerate() {
+        rank[lit] = r;
+    }
+    let mut slots_of: Vec<Option<Literal>> = lits.into_iter().map(Some).collect();
+    let lits: Vec<Literal> = order.iter().map(|&l| slots_of[l].take().unwrap()).collect();
+    let uses: Vec<(usize, usize)> = uses.iter().map(|&(_, lit, p)| (rank[lit], p)).collect();
+
+    let n = lits.len();
+    let mut search = Search {
+        index: &index,
+        lits,
+        use_start,
+        uses,
+        bound,
+        trail: Vec::new(),
+        items: Vec::new(),
+        pos: Vec::new(),
+        size: Vec::with_capacity(n),
+        shrunk: Vec::new(),
+        open: BTreeSet::new(),
+        budget,
+    };
+    match search
+        .init_domains()
+        .and_then(|ok| if ok { search.search() } else { Ok(false) })
+    {
+        Err(Cut) => SubsumptionOutcome {
+            witness: None,
+            exhausted: true,
+        },
+        Ok(false) => decided(None),
+        Ok(true) => {
+            let mut theta = Substitution::new();
+            for (name, &term) in slots.names.iter().zip(&search.bound) {
+                theta.bind(*name, index.terms[term as usize].clone());
+            }
+            decided(Some(theta))
+        }
+    }
 }
 
-/// Whether two clauses are θ-equivalent (each subsumes the other). This is
+/// Whether two clauses are θ-equivalent (each subsumes the other) under the
+/// default evaluation budget: `None` when a search ran out of it. This is
 /// the syntactic notion of clause equivalence used when checking that two
 /// learned definitions are "the same" across schemas.
-pub fn theta_equivalent(a: &Clause, b: &Clause) -> bool {
-    subsumes(a, b) && subsumes(b, a)
+pub fn theta_equivalent(a: &Clause, b: &Clause) -> Option<bool> {
+    let decide = |general, specific| {
+        let outcome = subsumes_with_eval_budget(general, specific, &mut EvalBudget::default());
+        (!outcome.exhausted).then(|| outcome.subsumes())
+    };
+    let forward = decide(a, b);
+    if forward == Some(false) {
+        return forward;
+    }
+    match decide(b, a) {
+        Some(true) => forward,
+        backward => backward,
+    }
 }
 
 /// The clone-per-node backtracking matcher the kernel must agree with: the
@@ -488,7 +836,7 @@ mod tests {
             vec![a("p", &["x", "z"]), a("q", &["z", "y"])],
         );
         assert!(subsumes(&c, &c));
-        assert!(theta_equivalent(&c, &c));
+        assert_eq!(theta_equivalent(&c, &c), Some(true));
     }
 
     #[test]
@@ -613,7 +961,7 @@ mod tests {
     fn theta_equivalence_of_variable_renamings() {
         let c1 = Clause::new(a("t", &["x", "y"]), vec![a("p", &["x", "y"])]);
         let c2 = Clause::new(a("t", &["u", "v"]), vec![a("p", &["u", "v"])]);
-        assert!(theta_equivalent(&c1, &c2));
+        assert_eq!(theta_equivalent(&c1, &c2), Some(true));
     }
 
     #[test]
@@ -623,7 +971,7 @@ mod tests {
             a("t", &["x"]),
             vec![a("p", &["x", "y"]), a("p", &["x", "z"])],
         );
-        assert!(theta_equivalent(&minimal, &redundant));
+        assert_eq!(theta_equivalent(&minimal, &redundant), Some(true));
     }
 
     /// A random clause for the oracle test. Relation `q` appears with two
@@ -654,8 +1002,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_reference_matcher() {
-        let budgets = [0, 1, 2, 3, 5, 8, 20, 60, NODE_BUDGET];
+    fn kernel_agrees_with_reference_matcher() {
+        let budgets = [0, 1, 2, 3, 5, 8, 20, 60, crate::DEFAULT_EVAL_NODE_BUDGET];
         let (mut exhausted, mut decided) = (0, [0, 0]);
         for seed in 0..3_000u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -674,29 +1022,28 @@ mod tests {
                 }
             };
             let nodes = budgets[rng.gen_range(0..budgets.len())];
-            let mut kernel_budget = EvalBudget::new(nodes);
-            let mut reference_budget = EvalBudget::new(nodes);
-            let got = subsumes_with_eval_budget(&general, &specific, &mut kernel_budget);
-            let want =
-                reference::subsumes_with_eval_budget(&general, &specific, &mut reference_budget);
+            let got = subsumes_with_eval_budget(&general, &specific, &mut EvalBudget::new(nodes));
+            let want = reference::subsumes_with_eval_budget(
+                &general,
+                &specific,
+                &mut EvalBudget::new(1_000_000),
+            );
             let case = format!("seed {seed}: {general}  vs  {specific}, budget {nodes}");
-            assert_eq!(got.subsumes(), want.subsumes(), "{case}");
-            assert_eq!(got.exhausted, want.exhausted, "{case}");
-            assert_eq!(got.witness, want.witness, "{case}");
-            assert_eq!(
-                kernel_budget.remaining(),
-                reference_budget.remaining(),
-                "{case}"
-            );
-            assert_eq!(
-                kernel_budget.was_exhausted(),
-                reference_budget.was_exhausted(),
-                "{case}"
-            );
-            if want.exhausted {
+            assert!(!want.exhausted, "{case}");
+            if got.exhausted {
+                assert!(!got.subsumes(), "{case}");
                 exhausted += 1;
-            } else {
-                decided[usize::from(want.subsumes())] += 1;
+                continue;
+            }
+            assert_eq!(got.subsumes(), want.subsumes(), "{case}");
+            decided[usize::from(got.subsumes())] += 1;
+            // The witness maps the head onto the specific head and every
+            // body literal into the specific body.
+            if let Some(theta) = got.witness {
+                assert_eq!(theta.apply_atom(&general.head), specific.head, "{case}");
+                for atom in &general.body {
+                    assert!(specific.body.contains(&theta.apply_atom(atom)), "{case}");
+                }
             }
         }
         // The generator reaches every kind of verdict.

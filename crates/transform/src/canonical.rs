@@ -175,6 +175,6 @@ mod tests {
         );
         let a = composed_lens.map_clause(&on_composed);
         let b = decomposed_lens.map_clause(&on_decomposed);
-        assert!(theta_equivalent(&a, &b));
+        assert_eq!(theta_equivalent(&a, &b), Some(true));
     }
 }
