@@ -37,39 +37,39 @@ type CastorGolden = (
 const GOLDEN: [CastorGolden; 4] = [
     (
         "Original",
-        "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
-        575,
-        79,
-        226,
-        1129,
-        8,
+        "advisedBy(V0,V1) ← publication(V7,V1), publication(V7,V0)",
+        308,
+        0,
+        92,
+        680,
+        3,
     ),
     (
         "4NF",
-        "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
-        524,
-        113,
-        178,
-        831,
-        10,
+        "advisedBy(V0,V1) ← publication(V7,V1), publication(V7,V0)",
+        260,
+        0,
+        94,
+        441,
+        2,
     ),
     (
         "Denormalized-1",
-        "advisedBy(V0,V1) ← publication(V6,V1), publication(V6,V0)",
-        575,
-        79,
-        231,
-        876,
-        8,
+        "advisedBy(V0,V1) ← publication(V7,V1), publication(V7,V0)",
+        308,
+        0,
+        97,
+        500,
+        3,
     ),
     (
         "Denormalized-2",
-        "advisedBy(V0,V1) ← publication(V2,V1), publication(V2,V0)",
-        572,
-        99,
-        192,
-        875,
-        11,
+        "advisedBy(V0,V1) ← publication(V3,V1), publication(V3,V0)",
+        308,
+        0,
+        107,
+        503,
+        3,
     ),
 ];
 
