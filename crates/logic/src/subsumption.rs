@@ -46,13 +46,13 @@
 //! module's tests) reaches with an ample budget; node counts and the
 //! witness found may differ from it.
 
-use crate::atom::Atom;
 use crate::clause::Clause;
 use crate::evaluation::EvalBudget;
 use crate::substitution::Substitution;
 use crate::term::Term;
 use castor_relational::fx::FxHashMap;
-use std::collections::{BTreeSet, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An unbound slot, and a constant of `C` that `D` does not contain.
 const NONE: u32 = u32::MAX;
@@ -134,11 +134,16 @@ struct Index<'s> {
     /// Term id → term.
     terms: Vec<&'s Term>,
     ids: FxHashMap<&'s Term, u32>,
+    group_of: FxHashMap<(&'s str, usize), usize>,
     groups: Vec<Group>,
-    /// The candidates of every (group, position, term), each a range of
-    /// `postings`.
-    postings: Vec<u32>,
-    ranges: FxHashMap<(u32, u32, u32), (u32, u32)>,
+    /// Every (group, position, term) key with one of its candidates,
+    /// sorted, so the candidates of a key are one run.
+    postings: Vec<(u64, u32)>,
+}
+
+/// The index key of `term` at `position` in group `g`.
+fn key(g: usize, position: usize, term: u32) -> u64 {
+    ((g as u64) << 48) | ((position as u64) << 32) | u64::from(term)
 }
 
 impl<'s> Index<'s> {
@@ -150,78 +155,68 @@ impl<'s> Index<'s> {
         })
     }
 
-    /// Interns the body literals of `specific` whose relation and arity
-    /// `group_of` names, and indexes each group by (position, term).
-    fn build(specific: &'s Clause, group_of: &FxHashMap<(&str, usize), usize>) -> Self {
+    /// Interns the head and body of `specific`, groups its body literals
+    /// by relation and arity, and indexes each group by (position, term).
+    fn build(specific: &'s Clause) -> Self {
+        let terms: usize = specific.body.iter().map(|a| a.terms.len()).sum();
         let mut index = Index {
-            terms: Vec::new(),
-            ids: FxHashMap::default(),
+            terms: Vec::with_capacity(terms),
+            ids: FxHashMap::with_capacity_and_hasher(terms, Default::default()),
+            group_of: FxHashMap::default(),
             groups: Vec::new(),
-            postings: Vec::new(),
-            ranges: FxHashMap::default(),
+            postings: Vec::with_capacity(terms),
         };
         for term in &specific.head.terms {
             index.intern(term);
         }
-        let mut groups: Vec<Group> = (0..group_of.len())
-            .map(|_| Group {
-                arity: 0,
-                len: 0,
-                rows: Vec::new(),
-            })
-            .collect();
-        for (&(_, arity), &g) in group_of {
-            groups[g].arity = arity;
-        }
-        let mut entries: Vec<(u32, u32, u32, u32)> = Vec::new();
         for atom in &specific.body {
-            let Some(&g) = group_of.get(&(atom.relation.as_str(), atom.terms.len())) else {
-                continue;
-            };
-            let c = groups[g].len as u32;
-            groups[g].len += 1;
+            let arity = atom.terms.len();
+            let next = index.groups.len();
+            let g = *index
+                .group_of
+                .entry((atom.relation.as_str(), arity))
+                .or_insert(next);
+            if g == next {
+                index.groups.push(Group {
+                    arity,
+                    len: 0,
+                    rows: Vec::new(),
+                });
+            }
+            let c = index.groups[g].len as u32;
+            index.groups[g].len += 1;
             for (p, term) in atom.terms.iter().enumerate() {
                 let id = index.intern(term);
-                groups[g].rows.push(id);
-                entries.push((g as u32, p as u32, id, c));
+                index.groups[g].rows.push(id);
+                index.postings.push((key(g, p, id), c));
             }
         }
-        entries.sort_unstable();
-        index.postings = entries.iter().map(|e| e.3).collect();
-        let mut start = 0;
-        for (i, e) in entries.iter().enumerate() {
-            if entries
-                .get(i + 1)
-                .is_none_or(|next| (next.0, next.1, next.2) != (e.0, e.1, e.2))
-            {
-                index
-                    .ranges
-                    .insert((e.0, e.1, e.2), (start as u32, i as u32 + 1));
-                start = i + 1;
-            }
-        }
-        index.groups = groups;
+        index.postings.sort_unstable();
         index
     }
 
     /// The candidates of group `g` with `term` at `position`.
-    fn postings(&self, g: usize, position: usize, term: u32) -> &[u32] {
-        match self.ranges.get(&(g as u32, position as u32, term)) {
-            Some(&(start, end)) => &self.postings[start as usize..end as usize],
-            None => &[],
-        }
+    fn postings(&self, g: usize, position: usize, term: u32) -> &[(u64, u32)] {
+        let key = key(g, position, term);
+        let start = self.postings.partition_point(|e| e.0 < key);
+        let len = self.postings[start..].partition_point(|e| e.0 == key);
+        &self.postings[start..start + len]
     }
 }
 
 /// A general body literal compiled for the search.
+#[derive(Clone, Copy)]
 struct Literal {
     group: usize,
-    args: Vec<Arg>,
-    /// Offset of the literal's candidate permutation in [`Search::items`].
+    /// Offset of its arguments in [`Search::args`].
+    args: usize,
+    /// Offset of its candidate permutation in [`Search::items`].
     items: usize,
     /// Offset of its candidate → permutation-position map in
     /// [`Search::pos`] (one entry per candidate of the group).
     pos: usize,
+    /// Live domain size: the domain is `items[items..items + size]`.
+    size: usize,
 }
 
 /// The budget ran out, or an abort token was set.
@@ -230,8 +225,10 @@ struct Cut;
 /// The search state: slot bindings and literal domains, each with a trail.
 struct Search<'i, 's, 'b> {
     index: &'i Index<'s>,
-    /// Literals in static order: a literal's index is its tie-break rank.
+    /// The literals, in static order once [`Search::rank`] ran: a
+    /// literal's index is then its tie-break rank.
     lits: Vec<Literal>,
+    args: Vec<Arg>,
     /// For slot `s`, the (literal, first position) pairs using it are
     /// `uses[use_start[s]..use_start[s + 1]]`.
     use_start: Vec<usize>,
@@ -241,11 +238,13 @@ struct Search<'i, 's, 'b> {
     trail: Vec<usize>,
     items: Vec<u32>,
     pos: Vec<u32>,
-    size: Vec<usize>,
     /// (literal, size before a filter shrank it).
     shrunk: Vec<(usize, usize)>,
-    /// Open literals keyed by (live domain size, rank).
-    open: BTreeSet<(usize, usize)>,
+    /// (live domain size, rank) of the open literals, lazily: an entry is
+    /// pushed whenever a size changes, and one whose literal is closed or
+    /// whose size is no longer current is skipped when it surfaces.
+    open: BinaryHeap<Reverse<(usize, usize)>>,
+    closed: Vec<bool>,
     budget: &'b mut EvalBudget,
 }
 
@@ -260,69 +259,146 @@ impl Search<'_, '_, '_> {
         }
     }
 
-    /// Whether candidate `row` is consistent with the constants, the bound
-    /// slots and the repeated variables of `args`.
-    fn consistent(&self, args: &[Arg], row: &[u32]) -> bool {
-        args.iter().zip(row).all(|(arg, &term)| match *arg {
-            Arg::Const(c) => term == c,
-            Arg::Slot(s) => self.bound[s] == NONE || self.bound[s] == term,
-            Arg::Same(q) => term == row[q],
-        })
+    fn args_of(&self, lit: &Literal) -> &[Arg] {
+        &self.args[lit.args..lit.args + self.index.groups[lit.group].arity]
     }
 
-    /// Fills the initial domain of every literal, in order, charging each
-    /// candidate examined. `Ok(false)` when a domain is empty.
-    fn init_domains(&mut self) -> Result<bool, Cut> {
+    /// Adds a literal of `group` whose arguments start at `args`, with its
+    /// initial domain: the candidates consistent with its constants, the
+    /// bound slots and its repeated variables, each examined one charged.
+    /// `Ok(false)` when the domain is empty.
+    fn add_literal(&mut self, group: usize, args: usize) -> Result<bool, Cut> {
         let index = self.index;
-        for lit in 0..self.lits.len() {
-            let group = &index.groups[self.lits[lit].group];
-            let args = std::mem::take(&mut self.lits[lit].args);
-            // The fixed argument with the fewest candidates picks the rows
-            // to examine; without one, every row is a candidate.
-            let fixed = args
-                .iter()
-                .enumerate()
-                .filter_map(|(p, arg)| match *arg {
-                    Arg::Const(c) => Some((p, c)),
-                    Arg::Slot(s) if self.bound[s] != NONE => Some((p, self.bound[s])),
-                    _ => None,
-                })
-                .map(|(p, term)| index.postings(self.lits[lit].group, p, term))
-                .min_by_key(|hits| hits.len());
-            let constrained = fixed.is_some() || args.iter().any(|arg| matches!(arg, Arg::Same(_)));
-            let start = self.items.len();
-            let count = fixed.map_or(group.len, <[u32]>::len);
-            for i in 0..count {
-                let c = fixed.map_or(i as u32, |hits| hits[i]);
-                if constrained {
-                    self.charge()?;
-                    if !self.consistent(&args, group.row(c)) {
-                        continue;
-                    }
+        let rows = &index.groups[group];
+        let mut lit = Literal {
+            group,
+            args,
+            items: self.items.len(),
+            pos: self.pos.len(),
+            size: 0,
+        };
+        // The fixed argument with the fewest candidates picks the rows to
+        // examine; without one, every row is a candidate.
+        let fixed = self
+            .args_of(&lit)
+            .iter()
+            .enumerate()
+            .filter_map(|(p, arg)| match *arg {
+                Arg::Const(c) => Some((p, c)),
+                Arg::Slot(s) if self.bound[s] != NONE => Some((p, self.bound[s])),
+                _ => None,
+            })
+            .map(|(p, term)| index.postings(group, p, term))
+            .min_by_key(|hits| hits.len());
+        let constrained =
+            fixed.is_some() || self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_)));
+        for i in 0..fixed.map_or(rows.len, <[_]>::len) {
+            let c = fixed.map_or(i as u32, |hits| hits[i].1);
+            if constrained {
+                self.charge()?;
+                let consistent = self
+                    .args_of(&lit)
+                    .iter()
+                    .zip(rows.row(c))
+                    .all(|(arg, &term)| match *arg {
+                        Arg::Const(id) => term == id,
+                        Arg::Slot(s) => self.bound[s] == NONE || self.bound[s] == term,
+                        Arg::Same(q) => term == rows.row(c)[q],
+                    });
+                if !consistent {
+                    continue;
                 }
-                self.items.push(c);
             }
-            self.lits[lit].args = args;
-            let size = self.items.len() - start;
-            if size == 0 {
-                return Ok(false);
-            }
-            let pos = self.pos.len();
-            self.pos.resize(pos + group.len, NONE);
-            for (i, &c) in self.items[start..].iter().enumerate() {
-                self.pos[pos + c as usize] = i as u32;
-            }
-            self.lits[lit].items = start;
-            self.lits[lit].pos = pos;
-            self.size.push(size);
-            self.open.insert((size, lit));
+            self.items.push(c);
         }
-        Ok(true)
+        lit.size = self.items.len() - lit.items;
+        self.pos.resize(lit.pos + rows.len, NONE);
+        for (i, &c) in self.items[lit.items..].iter().enumerate() {
+            self.pos[lit.pos + c as usize] = i as u32;
+        }
+        self.lits.push(lit);
+        Ok(lit.size > 0)
+    }
+
+    /// Puts the literals in static order, fewest candidates first and then
+    /// connected first: among the remaining literals, the first one sharing
+    /// a slot with those already placed (the first `head_slots` slots are
+    /// placed from the start), else the first one. Builds the slot → uses
+    /// table in that order and opens every literal.
+    fn rank(&mut self, head_slots: usize) {
+        let slots = self.bound.len();
+        let index = self.index;
+        let key = |lit: usize, lits: &[Literal]| (index.groups[lits[lit].group].len, lit);
+        let mut uses: Vec<(usize, usize, usize)> = Vec::new();
+        for (lit, l) in self.lits.iter().enumerate() {
+            for (p, arg) in self.args_of(l).iter().enumerate() {
+                if let Arg::Slot(s) = *arg {
+                    uses.push((s, lit, p));
+                }
+            }
+        }
+        uses.sort_unstable();
+        let mut use_start = vec![0; slots + 1];
+        for &(s, _, _) in &uses {
+            use_start[s + 1] += 1;
+        }
+        for s in 0..slots {
+            use_start[s + 1] += use_start[s];
+        }
+        let mut by_key: Vec<(usize, usize)> =
+            (0..self.lits.len()).map(|l| key(l, &self.lits)).collect();
+        by_key.sort_unstable();
+        let mut placed = vec![false; slots];
+        let mut ranked = vec![false; self.lits.len()];
+        let mut frontier: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
+        let mut place = |s: usize, frontier: &mut BinaryHeap<_>| {
+            if !std::mem::replace(&mut placed[s], true) {
+                frontier.extend(
+                    uses[use_start[s]..use_start[s + 1]]
+                        .iter()
+                        .map(|u| Reverse(key(u.1, &self.lits))),
+                );
+            }
+        };
+        for s in 0..head_slots {
+            place(s, &mut frontier);
+        }
+        let mut order: Vec<usize> = Vec::with_capacity(self.lits.len());
+        let mut fallback = by_key.iter().map(|k| k.1);
+        while order.len() < self.lits.len() {
+            let lit = match frontier.pop() {
+                Some(Reverse((_, lit))) => lit,
+                None => fallback.next().expect("an unranked literal remains"),
+            };
+            if std::mem::replace(&mut ranked[lit], true) {
+                continue;
+            }
+            order.push(lit);
+            for arg in self.args_of(&self.lits[lit]) {
+                if let Arg::Slot(s) = *arg {
+                    place(s, &mut frontier);
+                }
+            }
+        }
+        let mut rank = vec![0; self.lits.len()];
+        for (r, &lit) in order.iter().enumerate() {
+            rank[lit] = r;
+        }
+        self.lits = order.iter().map(|&lit| self.lits[lit]).collect();
+        self.uses = uses.iter().map(|&(_, lit, p)| (rank[lit], p)).collect();
+        self.use_start = use_start;
+        self.closed = vec![false; self.lits.len()];
+        self.open = self
+            .lits
+            .iter()
+            .enumerate()
+            .map(|(lit, l)| Reverse((l.size, lit)))
+            .collect();
     }
 
     /// Swaps the entries at permutation positions `i` and `j` of `lit`.
     fn swap(&mut self, lit: usize, i: usize, j: usize) {
-        let (items, pos) = (self.lits[lit].items, self.lits[lit].pos);
+        let Literal { items, pos, .. } = self.lits[lit];
         let (a, b) = (self.items[items + i], self.items[items + j]);
         self.items[items + i] = b;
         self.items[items + j] = a;
@@ -334,8 +410,13 @@ impl Search<'_, '_, '_> {
     /// `term` at `position`; `Ok(false)` when it empties.
     fn filter(&mut self, lit: usize, position: usize, term: u32) -> Result<bool, Cut> {
         let index = self.index;
-        let group = self.lits[lit].group;
-        let old = self.size[lit];
+        let Literal {
+            group,
+            items,
+            pos,
+            size: old,
+            ..
+        } = self.lits[lit];
         let hits = index.postings(group, position, term);
         let mut live = 0;
         if old <= hits.len() {
@@ -344,8 +425,7 @@ impl Search<'_, '_, '_> {
             let mut i = 0;
             while i < live {
                 self.charge()?;
-                let c = self.items[self.lits[lit].items + i];
-                if index.groups[group].row(c)[position] == term {
+                if index.groups[group].row(self.items[items + i])[position] == term {
                     i += 1;
                 } else {
                     live -= 1;
@@ -354,9 +434,9 @@ impl Search<'_, '_, '_> {
             }
         } else {
             // Walk the index, swapping live hits to the front.
-            for &c in hits {
+            for &(_, c) in hits {
                 self.charge()?;
-                let at = self.pos[self.lits[lit].pos + c as usize] as usize;
+                let at = self.pos[pos + c as usize] as usize;
                 if at < old {
                     self.swap(lit, at, live);
                     live += 1;
@@ -365,9 +445,8 @@ impl Search<'_, '_, '_> {
         }
         if live != old {
             self.shrunk.push((lit, old));
-            self.size[lit] = live;
-            self.open.remove(&(old, lit));
-            self.open.insert((live, lit));
+            self.lits[lit].size = live;
+            self.open.push(Reverse((live, lit)));
         }
         Ok(live > 0)
     }
@@ -376,10 +455,11 @@ impl Search<'_, '_, '_> {
     /// the open literals that use them. `Ok(false)` when a domain empties.
     fn assign(&mut self, lit: usize, c: u32) -> Result<bool, Cut> {
         let index = self.index;
-        let row = index.groups[self.lits[lit].group].row(c);
+        let l = self.lits[lit];
+        let row = index.groups[l.group].row(c);
         let mark = self.trail.len();
         for (p, &term) in row.iter().enumerate() {
-            if let Arg::Slot(s) = self.lits[lit].args[p] {
+            if let Arg::Slot(s) = self.args[l.args + p] {
                 if self.bound[s] == NONE {
                     self.bound[s] = term;
                     self.trail.push(s);
@@ -407,33 +487,39 @@ impl Search<'_, '_, '_> {
             self.bound[s] = NONE;
         }
         for (lit, old) in self.shrunk.drain(shrunk..).rev() {
-            self.open.remove(&(self.size[lit], lit));
-            self.open.insert((old, lit));
-            self.size[lit] = old;
+            self.lits[lit].size = old;
+            self.open.push(Reverse((old, lit)));
         }
     }
 
     /// Expands the open literal with the smallest live domain; on success
     /// the bindings hold the witness.
     fn search(&mut self) -> Result<bool, Cut> {
-        let Some((size, lit)) = self.open.pop_first() else {
-            return Ok(true);
+        let (size, lit) = loop {
+            match self.open.pop() {
+                None => return Ok(true),
+                Some(Reverse((size, lit))) if !self.closed[lit] && size == self.lits[lit].size => {
+                    break (size, lit);
+                }
+                Some(_) => {}
+            }
         };
-        let bound = &self.bound;
-        let fully_bound = self.lits[lit].args.iter().all(|arg| match *arg {
-            Arg::Slot(s) => bound[s] != NONE,
+        self.closed[lit] = true;
+        let l = self.lits[lit];
+        let fully_bound = self.args_of(&l).iter().all(|arg| match *arg {
+            Arg::Slot(s) => self.bound[s] != NONE,
             _ => true,
         });
         for i in 0..if fully_bound { 1 } else { size } {
             self.charge()?;
-            let c = self.items[self.lits[lit].items + i];
             let (trail, shrunk) = (self.trail.len(), self.shrunk.len());
-            if self.assign(lit, c)? && self.search()? {
+            if self.assign(lit, self.items[l.items + i])? && self.search()? {
                 return Ok(true);
             }
             self.undo(trail, shrunk);
         }
-        self.open.insert((size, lit));
+        self.closed[lit] = false;
+        self.open.push(Reverse((size, lit)));
         Ok(false)
     }
 }
@@ -461,21 +547,7 @@ pub fn subsumes_with_eval_budget(
     {
         return decided(None);
     }
-
-    // Deduplicate general body literals (duplicates map to the same target
-    // and only multiply the search), keeping first occurrences, and give
-    // each relation (name and arity) a group of candidates.
-    let mut seen: HashSet<&Atom> = HashSet::new();
-    let atoms: Vec<&Atom> = general.body.iter().filter(|a| seen.insert(*a)).collect();
-    let mut group_of: FxHashMap<(&str, usize), usize> = FxHashMap::default();
-    for atom in &atoms {
-        let next = group_of.len();
-        group_of
-            .entry((atom.relation.as_str(), atom.terms.len()))
-            .or_insert(next);
-    }
-    let index = Index::build(specific, &group_of);
-
+    let index = Index::build(specific);
     let mut slots = Slots::default();
     let mut bound: Vec<u32> = Vec::new();
     for (g, s) in general.head.terms.iter().zip(&specific.head.terms) {
@@ -494,120 +566,52 @@ pub fn subsumes_with_eval_budget(
             return decided(None);
         }
     }
-
-    // Compile the literals, fewest candidates first (stable, so ties keep
-    // clause order).
-    let mut lits: Vec<Literal> = atoms
-        .iter()
-        .map(|atom| {
-            let group = group_of[&(atom.relation.as_str(), atom.terms.len())];
-            let args = atom
-                .terms
-                .iter()
-                .enumerate()
-                .map(|(p, term)| match term {
-                    Term::Const(_) => Arg::Const(index.ids.get(term).copied().unwrap_or(NONE)),
-                    Term::Var(name) => {
-                        let slot = slots.slot(name);
-                        match atom.terms[..p].iter().position(|t| t == term) {
-                            Some(q) => Arg::Same(q),
-                            None => Arg::Slot(slot),
-                        }
-                    }
-                })
-                .collect();
-            Literal {
-                group,
-                args,
-                items: 0,
-                pos: 0,
-            }
-        })
-        .collect();
-    lits.sort_by_key(|l| index.groups[l.group].len);
     let head_slots = bound.len();
-    bound.resize(slots.names.len(), NONE);
 
-    // Static tie-break order: among the remaining literals, the first one
-    // sharing a slot with those already placed (the head's first), else
-    // the first one.
-    let mut uses: Vec<(usize, usize, usize)> = Vec::new();
-    for (lit, l) in lits.iter().enumerate() {
-        for (p, arg) in l.args.iter().enumerate() {
-            if let Arg::Slot(s) = *arg {
-                uses.push((s, lit, p));
-            }
-        }
-    }
-    uses.sort_unstable();
-    let mut use_start = vec![0; slots.names.len() + 1];
-    for &(s, _, _) in &uses {
-        use_start[s + 1] += 1;
-    }
-    for s in 0..slots.names.len() {
-        use_start[s + 1] += use_start[s];
-    }
-    let mut placed = vec![false; slots.names.len()];
-    let mut ranked = vec![false; lits.len()];
-    let mut frontier: BTreeSet<usize> = BTreeSet::new();
-    let mut order: Vec<usize> = Vec::with_capacity(lits.len());
-    let mut place = |s: usize, frontier: &mut BTreeSet<usize>| {
-        if !std::mem::replace(&mut placed[s], true) {
-            frontier.extend(uses[use_start[s]..use_start[s + 1]].iter().map(|u| u.1));
-        }
-    };
-    for s in 0..head_slots {
-        place(s, &mut frontier);
-    }
-    let mut next = 0;
-    while order.len() < lits.len() {
-        let lit = loop {
-            let lit = match frontier.pop_first() {
-                Some(lit) => lit,
-                None => {
-                    next += 1;
-                    next - 1
-                }
-            };
-            if !ranked[lit] {
-                break lit;
-            }
-        };
-        ranked[lit] = true;
-        order.push(lit);
-        for arg in &lits[lit].args {
-            if let Arg::Slot(s) = *arg {
-                place(s, &mut frontier);
-            }
-        }
-    }
-    let mut rank = vec![0; lits.len()];
-    for (r, &lit) in order.iter().enumerate() {
-        rank[lit] = r;
-    }
-    let mut slots_of: Vec<Option<Literal>> = lits.into_iter().map(Some).collect();
-    let lits: Vec<Literal> = order.iter().map(|&l| slots_of[l].take().unwrap()).collect();
-    let uses: Vec<(usize, usize)> = uses.iter().map(|&(_, lit, p)| (rank[lit], p)).collect();
-
-    let n = lits.len();
     let mut search = Search {
         index: &index,
-        lits,
-        use_start,
-        uses,
+        lits: Vec::with_capacity(general.body.len()),
+        args: Vec::new(),
+        use_start: Vec::new(),
+        uses: Vec::new(),
         bound,
         trail: Vec::new(),
         items: Vec::new(),
         pos: Vec::new(),
-        size: Vec::with_capacity(n),
         shrunk: Vec::new(),
-        open: BTreeSet::new(),
+        open: BinaryHeap::new(),
+        closed: Vec::new(),
         budget,
     };
-    match search
-        .init_domains()
-        .and_then(|ok| if ok { search.search() } else { Ok(false) })
-    {
+    // Compile each literal and fill its initial domain right away, so an
+    // empty one fails the test before the rest is compiled or ordered.
+    let mut filled = || -> Result<bool, Cut> {
+        for atom in &general.body {
+            let Some(&group) = index
+                .group_of
+                .get(&(atom.relation.as_str(), atom.terms.len()))
+            else {
+                return Ok(false);
+            };
+            let at = search.args.len();
+            for (p, term) in atom.terms.iter().enumerate() {
+                search.args.push(match term {
+                    Term::Const(_) => Arg::Const(index.ids.get(term).copied().unwrap_or(NONE)),
+                    Term::Var(name) => match atom.terms[..p].iter().position(|t| t == term) {
+                        Some(q) => Arg::Same(q),
+                        None => Arg::Slot(slots.slot(name)),
+                    },
+                });
+            }
+            search.bound.resize(slots.names.len(), NONE);
+            if !search.add_literal(group, at)? {
+                return Ok(false);
+            }
+        }
+        search.rank(head_slots);
+        search.search()
+    };
+    match filled() {
         Err(Cut) => SubsumptionOutcome {
             witness: None,
             exhausted: true,
