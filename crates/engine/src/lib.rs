@@ -938,16 +938,20 @@ impl CoverageTester for Engine {
         let examples = Arc::clone(examples);
         let pairs = Arc::clone(pairs);
         let stats = self.statistics();
-        let plans: Vec<Arc<ClausePlan>> = canonicals
-            .iter()
-            .map(|c| self.plan_for(c, &stats))
-            .collect();
+        // Only the slots the pairs test get a plan: in a trie batch the
+        // other slots were settled by the trie and never run here.
+        let mut plans: Vec<Option<Arc<ClausePlan>>> = vec![None; canonicals.len()];
+        for &(slot, _) in pairs.iter() {
+            if plans[slot].is_none() {
+                plans[slot] = Some(self.plan_for(canonicals[slot], &stats));
+            }
+        }
         Box::new(move |i| {
             let (slot, ei) = pairs[i];
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome =
-                executor::covers_with_plan(&plans[slot], &db, &examples[ei], &mut node_budget);
+            let plan = plans[slot].as_ref().expect("every paired slot is planned");
+            let outcome = executor::covers_with_plan(plan, &db, &examples[ei], &mut node_budget);
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -1224,6 +1228,44 @@ mod tests {
             sequential.covered_sets_batch(&beam, &many),
             parallel.covered_sets_batch(&beam, &many)
         );
+    }
+
+    #[test]
+    fn pooled_pairs_plan_only_the_clauses_they_test() {
+        let db = db();
+        // Two trie siblings and one candidate alone under its head: only
+        // the lone candidate runs as (clause, example) pairs, so it is the
+        // only clause that gets a per-clause plan, whatever the thread
+        // count.
+        let mut beam = sibling_beam();
+        beam.truncate(2);
+        beam.push(Clause::new(
+            Atom::vars("collaborated", &["x", "x"]),
+            vec![Atom::vars("publication", &["p", "x"])],
+        ));
+        let examples: Vec<Tuple> = [
+            ["ann", "bob"],
+            ["bob", "ann"],
+            ["carol", "dan"],
+            ["dan", "carol"],
+            ["ann", "ann"],
+            ["eve", "eve"],
+            ["ann", "carol"],
+            ["bob", "dan"],
+            ["carol", "carol"],
+            ["dan", "eve"],
+        ]
+        .iter()
+        .map(|pair| Tuple::from_strs(pair))
+        .collect();
+        let run = |threads| {
+            let engine = Engine::new(&db, EngineConfig::default().with_threads(threads));
+            let sets = engine.covered_sets_batch(&beam, &examples);
+            (sets, engine.report().plans_compiled)
+        };
+        let inline = run(1);
+        assert_eq!(inline.1, 1);
+        assert_eq!(run(2), inline);
     }
 
     #[test]
