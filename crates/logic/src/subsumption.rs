@@ -15,13 +15,17 @@
 //!
 //! * *Index.* Each test numbers the variables of `C` with dense *slots*,
 //!   gives every distinct term of `D` a dense id, and turns every body
-//!   literal of `D` whose relation `C` uses into a row of term ids. Those
-//!   rows are indexed once, per relation, by (argument position, term).
-//! * *Domains.* Every open literal of `C` keeps its live candidate rows as
-//!   a sparse set: a permutation of the candidates and a size, so shrinking
-//!   a domain only swaps entries and undoing it only restores the size from
-//!   a trail. Initial domains are filtered by `C`'s constants, the head
-//!   bindings and repeated variables; an empty one fails the test at once.
+//!   literal of `D` into a row of term ids, grouped by relation and arity.
+//!   The rows are indexed once per test by (group, argument position,
+//!   term): one sorted run of candidates per key.
+//! * *Domains.* Every open literal of `C` keeps its live candidate rows.
+//!   Its initial domain is filtered by `C`'s constants, the head bindings
+//!   and repeated variables, and an empty one fails the test before the
+//!   rest of `C` is even compiled; a literal with none of these keeps its
+//!   whole group, unmaterialized. A filter appends the shrunk domain to one
+//!   shared stack and records the domain it replaces on a trail, so
+//!   backtracking restores the old domain and truncates the stack. Memory
+//!   follows the work done, not `|C| × |D|`.
 //! * *Order.* The search always expands the open literal with the smallest
 //!   live domain. Ties go by a static order: fewest candidates first, then
 //!   literals connected by shared variables to the ones placed before (the
@@ -32,7 +36,7 @@
 //!   than are live, by scanning the live domain otherwise. A domain that
 //!   empties fails the branch before it is entered. Every live candidate of
 //!   a literal whose slots are all bound is the same row, so such a literal
-//!   is tried once.
+//!   is tried once (which also makes duplicate literals of `C` free).
 //!
 //! # Budget
 //!
@@ -210,13 +214,25 @@ struct Literal {
     group: usize,
     /// Offset of its arguments in [`Search::args`].
     args: usize,
-    /// Offset of its candidate permutation in [`Search::items`].
-    items: usize,
-    /// Offset of its candidate → permutation-position map in
-    /// [`Search::pos`] (one entry per candidate of the group).
-    pos: usize,
-    /// Live domain size: the domain is `items[items..items + size]`.
+    /// Where its live domain starts in [`Search::live`], or [`ALL`] while
+    /// every row of its group is live.
+    start: usize,
+    /// Live domain size.
     size: usize,
+}
+
+/// [`Literal::start`] of a domain that is its whole group.
+const ALL: usize = usize::MAX;
+
+impl Literal {
+    /// The `i`-th live candidate.
+    fn candidate(&self, live: &[u32], i: usize) -> u32 {
+        if self.start == ALL {
+            i as u32
+        } else {
+            live[self.start + i]
+        }
+    }
 }
 
 /// The budget ran out, or an abort token was set.
@@ -236,10 +252,11 @@ struct Search<'i, 's, 'b> {
     /// Slot → term id, or [`NONE`].
     bound: Vec<u32>,
     trail: Vec<usize>,
-    items: Vec<u32>,
-    pos: Vec<u32>,
-    /// (literal, size before a filter shrank it).
-    shrunk: Vec<(usize, usize)>,
+    /// The live domains that are not a whole group, each one run: a filter
+    /// appends the shrunk domain, and backtracking truncates it again.
+    live: Vec<u32>,
+    /// (literal, start, size) of the domains filters replaced.
+    shrunk: Vec<(usize, usize, usize)>,
     /// (live domain size, rank) of the open literals, lazily: an entry is
     /// pushed whenever a size changes, and one whose literal is closed or
     /// whose size is no longer current is skipped when it surfaces.
@@ -263,19 +280,31 @@ impl Search<'_, '_, '_> {
         &self.args[lit.args..lit.args + self.index.groups[lit.group].arity]
     }
 
+    /// Whether candidate `c` of `lit`'s group agrees with its constants,
+    /// its repeated variables and the bound slots.
+    fn consistent(&self, lit: &Literal, c: u32) -> bool {
+        let row = self.index.groups[lit.group].row(c);
+        self.args_of(lit)
+            .iter()
+            .zip(row)
+            .all(|(arg, &term)| match *arg {
+                Arg::Const(id) => term == id,
+                Arg::Slot(s) => self.bound[s] == NONE || self.bound[s] == term,
+                Arg::Same(q) => term == row[q],
+            })
+    }
+
     /// Adds a literal of `group` whose arguments start at `args`, with its
     /// initial domain: the candidates consistent with its constants, the
     /// bound slots and its repeated variables, each examined one charged.
     /// `Ok(false)` when the domain is empty.
     fn add_literal(&mut self, group: usize, args: usize) -> Result<bool, Cut> {
         let index = self.index;
-        let rows = &index.groups[group];
         let mut lit = Literal {
             group,
             args,
-            items: self.items.len(),
-            pos: self.pos.len(),
-            size: 0,
+            start: ALL,
+            size: index.groups[group].len,
         };
         // The fixed argument with the fewest candidates picks the rows to
         // examine; without one, every row is a candidate.
@@ -290,31 +319,17 @@ impl Search<'_, '_, '_> {
             })
             .map(|(p, term)| index.postings(group, p, term))
             .min_by_key(|hits| hits.len());
-        let constrained =
-            fixed.is_some() || self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_)));
-        for i in 0..fixed.map_or(rows.len, <[_]>::len) {
-            let c = fixed.map_or(i as u32, |hits| hits[i].1);
-            if constrained {
+        if fixed.is_some() || self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_))) {
+            let start = self.live.len();
+            for i in 0..fixed.map_or(lit.size, <[_]>::len) {
+                let c = fixed.map_or(i as u32, |hits| hits[i].1);
                 self.charge()?;
-                let consistent = self
-                    .args_of(&lit)
-                    .iter()
-                    .zip(rows.row(c))
-                    .all(|(arg, &term)| match *arg {
-                        Arg::Const(id) => term == id,
-                        Arg::Slot(s) => self.bound[s] == NONE || self.bound[s] == term,
-                        Arg::Same(q) => term == rows.row(c)[q],
-                    });
-                if !consistent {
-                    continue;
+                if self.consistent(&lit, c) {
+                    self.live.push(c);
                 }
             }
-            self.items.push(c);
-        }
-        lit.size = self.items.len() - lit.items;
-        self.pos.resize(lit.pos + rows.len, NONE);
-        for (i, &c) in self.items[lit.items..].iter().enumerate() {
-            self.pos[lit.pos + c as usize] = i as u32;
+            lit.start = start;
+            lit.size = self.live.len() - start;
         }
         self.lits.push(lit);
         Ok(lit.size > 0)
@@ -396,59 +411,42 @@ impl Search<'_, '_, '_> {
             .collect();
     }
 
-    /// Swaps the entries at permutation positions `i` and `j` of `lit`.
-    fn swap(&mut self, lit: usize, i: usize, j: usize) {
-        let Literal { items, pos, .. } = self.lits[lit];
-        let (a, b) = (self.items[items + i], self.items[items + j]);
-        self.items[items + i] = b;
-        self.items[items + j] = a;
-        self.pos[pos + a as usize] = j as u32;
-        self.pos[pos + b as usize] = i as u32;
-    }
-
     /// Restricts the domain of open literal `lit` to the candidates with
     /// `term` at `position`; `Ok(false)` when it empties.
     fn filter(&mut self, lit: usize, position: usize, term: u32) -> Result<bool, Cut> {
         let index = self.index;
-        let Literal {
-            group,
-            items,
-            pos,
-            size: old,
-            ..
-        } = self.lits[lit];
-        let hits = index.postings(group, position, term);
-        let mut live = 0;
-        if old <= hits.len() {
-            // Scan the live domain, swapping misses behind its end.
-            live = old;
-            let mut i = 0;
-            while i < live {
+        let l = self.lits[lit];
+        let hits = index.postings(l.group, position, term);
+        let start = self.live.len();
+        if l.start == ALL || hits.len() < l.size {
+            // Walk the index. A hit is live when the whole group is, or
+            // else when it agrees with the literal's bound slots.
+            for &(_, c) in hits {
                 self.charge()?;
-                if index.groups[group].row(self.items[items + i])[position] == term {
-                    i += 1;
-                } else {
-                    live -= 1;
-                    self.swap(lit, i, live);
+                if l.start == ALL || self.consistent(&l, c) {
+                    self.live.push(c);
                 }
             }
         } else {
-            // Walk the index, swapping live hits to the front.
-            for &(_, c) in hits {
+            // Scan the live domain.
+            for i in 0..l.size {
                 self.charge()?;
-                let at = self.pos[pos + c as usize] as usize;
-                if at < old {
-                    self.swap(lit, at, live);
-                    live += 1;
+                let c = self.live[l.start + i];
+                if index.groups[l.group].row(c)[position] == term {
+                    self.live.push(c);
                 }
             }
         }
-        if live != old {
-            self.shrunk.push((lit, old));
-            self.lits[lit].size = live;
-            self.open.push(Reverse((live, lit)));
+        let size = self.live.len() - start;
+        if size == l.size {
+            self.live.truncate(start);
+        } else {
+            self.shrunk.push((lit, l.start, l.size));
+            self.lits[lit].start = start;
+            self.lits[lit].size = size;
+            self.open.push(Reverse((size, lit)));
         }
-        Ok(live > 0)
+        Ok(size > 0)
     }
 
     /// Maps `lit` onto candidate `c`: binds its unbound slots and filters
@@ -480,16 +478,18 @@ impl Search<'_, '_, '_> {
         Ok(true)
     }
 
-    /// Unbinds the slots and restores the domain sizes recorded since the
-    /// trails were `trail` and `shrunk` long.
-    fn undo(&mut self, trail: usize, shrunk: usize) {
+    /// Unbinds the slots, restores the domains and drops the runs recorded
+    /// since the trails were as long as `marks`.
+    fn undo(&mut self, (trail, shrunk, live): (usize, usize, usize)) {
         for s in self.trail.drain(trail..) {
             self.bound[s] = NONE;
         }
-        for (lit, old) in self.shrunk.drain(shrunk..).rev() {
-            self.lits[lit].size = old;
-            self.open.push(Reverse((old, lit)));
+        for (lit, start, size) in self.shrunk.drain(shrunk..).rev() {
+            self.lits[lit].start = start;
+            self.lits[lit].size = size;
+            self.open.push(Reverse((size, lit)));
         }
+        self.live.truncate(live);
     }
 
     /// Expands the open literal with the smallest live domain; on success
@@ -512,11 +512,11 @@ impl Search<'_, '_, '_> {
         });
         for i in 0..if fully_bound { 1 } else { size } {
             self.charge()?;
-            let (trail, shrunk) = (self.trail.len(), self.shrunk.len());
-            if self.assign(lit, self.items[l.items + i])? && self.search()? {
+            let marks = (self.trail.len(), self.shrunk.len(), self.live.len());
+            if self.assign(lit, l.candidate(&self.live, i))? && self.search()? {
                 return Ok(true);
             }
-            self.undo(trail, shrunk);
+            self.undo(marks);
         }
         self.closed[lit] = false;
         self.open.push(Reverse((size, lit)));
@@ -576,8 +576,7 @@ pub fn subsumes_with_eval_budget(
         uses: Vec::new(),
         bound,
         trail: Vec::new(),
-        items: Vec::new(),
-        pos: Vec::new(),
+        live: Vec::new(),
         shrunk: Vec::new(),
         open: BinaryHeap::new(),
         closed: Vec::new(),
@@ -646,8 +645,8 @@ pub fn theta_equivalent(a: &Clause, b: &Clause) -> Option<bool> {
     }
 }
 
-/// The clone-per-node backtracking matcher the kernel must agree with: the
-/// oracle for its verdicts, witnesses and node accounting.
+/// A clone-per-node backtracking matcher with one fixed literal order: the
+/// oracle for the kernel's verdicts.
 #[cfg(test)]
 mod reference {
     use super::SubsumptionOutcome;
