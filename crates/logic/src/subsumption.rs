@@ -21,11 +21,12 @@
 //! * *Domains.* Every open literal of `C` keeps its live candidate rows.
 //!   Its initial domain is filtered by `C`'s constants, the head bindings
 //!   and repeated variables, and an empty one fails the test before the
-//!   rest of `C` is even compiled; a literal with none of these keeps its
-//!   whole group, unmaterialized. A filter appends the shrunk domain to one
-//!   shared stack and records the domain it replaces on a trail, so
-//!   backtracking restores the old domain and truncates the stack. Memory
-//!   follows the work done, not `|C| × |D|`.
+//!   rest of `C` is even compiled. A domain is the literal's whole group
+//!   while nothing constrains it, a run of the index while one constant or
+//!   bound slot does, and otherwise a run on one shared stack: a filter
+//!   appends the shrunk domain there and records the domain it replaces on
+//!   a trail, so backtracking restores the old domain and truncates the
+//!   stack. Memory follows the work done, not `|C| × |D|`.
 //! * *Order.* The search always expands the open literal with the smallest
 //!   live domain. Ties go by a static order: fewest candidates first, then
 //!   literals connected by shared variables to the ones placed before (the
@@ -40,9 +41,10 @@
 //!
 //! # Budget
 //!
-//! [`EvalBudget::consume`] is called once per candidate tried and once per
-//! candidate examined while filtering (initial domains included), so the
-//! budget bounds the real work and a cancellation or deadline token aborts
+//! [`EvalBudget::consume`] is called once per candidate tried, once per
+//! candidate examined while filtering (initial domains included) and once
+//! per whole-group domain narrowed to an index run, so the budget bounds
+//! the real work and a cancellation or deadline token aborts
 //! the test within one unit of it. `exhausted` is reported only when a
 //! `consume` failed, that is when the budget cut the search short; a test
 //! that decides on its last unit is exact. Wherever the kernel decides, its
@@ -140,9 +142,11 @@ struct Index<'s> {
     ids: FxHashMap<&'s Term, u32>,
     group_of: FxHashMap<(&'s str, usize), usize>,
     groups: Vec<Group>,
-    /// Every (group, position, term) key with one of its candidates,
-    /// sorted, so the candidates of a key are one run.
-    postings: Vec<(u64, u32)>,
+    /// The (group, position, term) key of every argument of every
+    /// candidate, sorted, so the candidates of a key are one run of
+    /// `postings` (the candidate of `keys[i]` is `postings[i]`).
+    keys: Vec<u64>,
+    postings: Vec<u32>,
 }
 
 /// The index key of `term` at `position` in group `g`.
@@ -168,8 +172,10 @@ impl<'s> Index<'s> {
             ids: FxHashMap::with_capacity_and_hasher(terms, Default::default()),
             group_of: FxHashMap::default(),
             groups: Vec::new(),
-            postings: Vec::with_capacity(terms),
+            keys: Vec::new(),
+            postings: Vec::new(),
         };
+        let mut entries: Vec<(u64, u32)> = Vec::with_capacity(terms);
         for term in &specific.head.terms {
             index.intern(term);
         }
@@ -192,19 +198,20 @@ impl<'s> Index<'s> {
             for (p, term) in atom.terms.iter().enumerate() {
                 let id = index.intern(term);
                 index.groups[g].rows.push(id);
-                index.postings.push((key(g, p, id), c));
+                entries.push((key(g, p, id), c));
             }
         }
-        index.postings.sort_unstable();
+        entries.sort_unstable();
+        (index.keys, index.postings) = entries.into_iter().unzip();
         index
     }
 
     /// The candidates of group `g` with `term` at `position`.
-    fn postings(&self, g: usize, position: usize, term: u32) -> &[(u64, u32)] {
+    fn postings(&self, g: usize, position: usize, term: u32) -> Domain {
         let key = key(g, position, term);
-        let start = self.postings.partition_point(|e| e.0 < key);
-        let len = self.postings[start..].partition_point(|e| e.0 == key);
-        &self.postings[start..start + len]
+        let start = self.keys.partition_point(|&k| k < key);
+        let size = self.keys[start..].partition_point(|&k| k == key);
+        Domain::Index { start, size }
     }
 }
 
@@ -214,23 +221,34 @@ struct Literal {
     group: usize,
     /// Offset of its arguments in [`Search::args`].
     args: usize,
-    /// Where its live domain starts in [`Search::live`], or [`ALL`] while
-    /// every row of its group is live.
-    start: usize,
-    /// Live domain size.
-    size: usize,
+    domain: Domain,
 }
 
-/// [`Literal::start`] of a domain that is its whole group.
-const ALL: usize = usize::MAX;
+/// The live candidates of a literal.
+#[derive(Clone, Copy)]
+enum Domain {
+    /// Every row of its group: `0..size`.
+    All { size: usize },
+    /// A run of [`Index::postings`]: every row with one term at one
+    /// position.
+    Index { start: usize, size: usize },
+    /// A run of [`Search::live`].
+    Live { start: usize, size: usize },
+}
 
-impl Literal {
+impl Domain {
+    fn size(self) -> usize {
+        match self {
+            Domain::All { size } | Domain::Index { size, .. } | Domain::Live { size, .. } => size,
+        }
+    }
+
     /// The `i`-th live candidate.
-    fn candidate(&self, live: &[u32], i: usize) -> u32 {
-        if self.start == ALL {
-            i as u32
-        } else {
-            live[self.start + i]
+    fn candidate(self, index: &Index<'_>, live: &[u32], i: usize) -> u32 {
+        match self {
+            Domain::All { .. } => i as u32,
+            Domain::Index { start, .. } => index.postings[start + i],
+            Domain::Live { start, .. } => live[start + i],
         }
     }
 }
@@ -255,8 +273,8 @@ struct Search<'i, 's, 'b> {
     /// The live domains that are not a whole group, each one run: a filter
     /// appends the shrunk domain, and backtracking truncates it again.
     live: Vec<u32>,
-    /// (literal, start, size) of the domains filters replaced.
-    shrunk: Vec<(usize, usize, usize)>,
+    /// (literal, domain) of the domains filters replaced.
+    shrunk: Vec<(usize, Domain)>,
     /// (live domain size, rank) of the open literals, lazily: an entry is
     /// pushed whenever a size changes, and one whose literal is closed or
     /// whose size is no longer current is skipped when it surfaces.
@@ -296,19 +314,21 @@ impl Search<'_, '_, '_> {
 
     /// Adds a literal of `group` whose arguments start at `args`, with its
     /// initial domain: the candidates consistent with its constants, the
-    /// bound slots and its repeated variables, each examined one charged.
-    /// `Ok(false)` when the domain is empty.
+    /// bound slots and its repeated variables. When one constant or bound
+    /// slot is the only constraint, the domain is its run of the index;
+    /// otherwise the candidates of the fewest-candidate run (or the whole
+    /// group) are examined, each charged. `Ok(false)` when the domain is
+    /// empty.
     fn add_literal(&mut self, group: usize, args: usize) -> Result<bool, Cut> {
         let index = self.index;
         let mut lit = Literal {
             group,
             args,
-            start: ALL,
-            size: index.groups[group].len,
+            domain: Domain::All {
+                size: index.groups[group].len,
+            },
         };
-        // The fixed argument with the fewest candidates picks the rows to
-        // examine; without one, every row is a candidate.
-        let fixed = self
+        let fixed: Vec<Domain> = self
             .args_of(&lit)
             .iter()
             .enumerate()
@@ -318,21 +338,27 @@ impl Search<'_, '_, '_> {
                 _ => None,
             })
             .map(|(p, term)| index.postings(group, p, term))
-            .min_by_key(|hits| hits.len());
-        if fixed.is_some() || self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_))) {
+            .collect();
+        let repeated = self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_)));
+        if let Some(&fewest) = fixed.iter().min_by_key(|d| d.size()) {
+            lit.domain = fewest;
+        }
+        if repeated || fixed.len() > 1 {
             let start = self.live.len();
-            for i in 0..fixed.map_or(lit.size, <[_]>::len) {
-                let c = fixed.map_or(i as u32, |hits| hits[i].1);
+            for i in 0..lit.domain.size() {
+                let c = lit.domain.candidate(index, &self.live, i);
                 self.charge()?;
                 if self.consistent(&lit, c) {
                     self.live.push(c);
                 }
             }
-            lit.start = start;
-            lit.size = self.live.len() - start;
+            lit.domain = Domain::Live {
+                start,
+                size: self.live.len() - start,
+            };
         }
         self.lits.push(lit);
-        Ok(lit.size > 0)
+        Ok(lit.domain.size() > 0)
     }
 
     /// Puts the literals in static order, fewest candidates first and then
@@ -407,7 +433,7 @@ impl Search<'_, '_, '_> {
             .lits
             .iter()
             .enumerate()
-            .map(|(lit, l)| Reverse((l.size, lit)))
+            .map(|(lit, l)| Reverse((l.domain.size(), lit)))
             .collect();
     }
 
@@ -417,36 +443,51 @@ impl Search<'_, '_, '_> {
         let index = self.index;
         let l = self.lits[lit];
         let hits = index.postings(l.group, position, term);
-        let start = self.live.len();
-        if l.start == ALL || hits.len() < l.size {
-            // Walk the index. A hit is live when the whole group is, or
-            // else when it agrees with the literal's bound slots.
-            for &(_, c) in hits {
+        let domain = match l.domain {
+            // The whole group narrows to the index run as it is, for one
+            // unit: the lookup.
+            Domain::All { .. } => {
                 self.charge()?;
-                if l.start == ALL || self.consistent(&l, c) {
-                    self.live.push(c);
+                hits
+            }
+            old => {
+                let start = self.live.len();
+                if hits.size() < old.size() {
+                    // Walk the index: a hit is live when it agrees with
+                    // the literal's bound slots.
+                    for i in 0..hits.size() {
+                        self.charge()?;
+                        let c = hits.candidate(index, &self.live, i);
+                        if self.consistent(&l, c) {
+                            self.live.push(c);
+                        }
+                    }
+                } else {
+                    // Scan the live domain.
+                    for i in 0..old.size() {
+                        self.charge()?;
+                        let c = old.candidate(index, &self.live, i);
+                        if index.groups[l.group].row(c)[position] == term {
+                            self.live.push(c);
+                        }
+                    }
+                }
+                Domain::Live {
+                    start,
+                    size: self.live.len() - start,
                 }
             }
-        } else {
-            // Scan the live domain.
-            for i in 0..l.size {
-                self.charge()?;
-                let c = self.live[l.start + i];
-                if index.groups[l.group].row(c)[position] == term {
-                    self.live.push(c);
-                }
+        };
+        if domain.size() == l.domain.size() {
+            if let Domain::Live { start, .. } = domain {
+                self.live.truncate(start);
             }
-        }
-        let size = self.live.len() - start;
-        if size == l.size {
-            self.live.truncate(start);
         } else {
-            self.shrunk.push((lit, l.start, l.size));
-            self.lits[lit].start = start;
-            self.lits[lit].size = size;
-            self.open.push(Reverse((size, lit)));
+            self.shrunk.push((lit, l.domain));
+            self.lits[lit].domain = domain;
+            self.open.push(Reverse((domain.size(), lit)));
         }
-        Ok(size > 0)
+        Ok(domain.size() > 0)
     }
 
     /// Maps `lit` onto candidate `c`: binds its unbound slots and filters
@@ -484,10 +525,9 @@ impl Search<'_, '_, '_> {
         for s in self.trail.drain(trail..) {
             self.bound[s] = NONE;
         }
-        for (lit, start, size) in self.shrunk.drain(shrunk..).rev() {
-            self.lits[lit].start = start;
-            self.lits[lit].size = size;
-            self.open.push(Reverse((size, lit)));
+        for (lit, domain) in self.shrunk.drain(shrunk..).rev() {
+            self.lits[lit].domain = domain;
+            self.open.push(Reverse((domain.size(), lit)));
         }
         self.live.truncate(live);
     }
@@ -498,7 +538,9 @@ impl Search<'_, '_, '_> {
         let (size, lit) = loop {
             match self.open.pop() {
                 None => return Ok(true),
-                Some(Reverse((size, lit))) if !self.closed[lit] && size == self.lits[lit].size => {
+                Some(Reverse((size, lit)))
+                    if !self.closed[lit] && size == self.lits[lit].domain.size() =>
+                {
                     break (size, lit);
                 }
                 Some(_) => {}
@@ -513,7 +555,7 @@ impl Search<'_, '_, '_> {
         for i in 0..if fully_bound { 1 } else { size } {
             self.charge()?;
             let marks = (self.trail.len(), self.shrunk.len(), self.live.len());
-            if self.assign(lit, l.candidate(&self.live, i))? && self.search()? {
+            if self.assign(lit, l.domain.candidate(self.index, &self.live, i))? && self.search()? {
                 return Ok(true);
             }
             self.undo(marks);
