@@ -124,6 +124,9 @@ impl<'g> Slots<'g> {
 /// The candidate rows of one relation (name and arity) of `D`.
 struct Group {
     arity: usize,
+    /// The index's number for the group's first argument position; the
+    /// others follow it.
+    first_position: usize,
     len: usize,
     /// Row `c` is `rows[c * arity..][..arity]`.
     rows: Vec<u32>,
@@ -147,11 +150,6 @@ struct Index<'s> {
     /// `postings` (the candidate of `keys[i]` is `postings[i]`).
     keys: Vec<u64>,
     postings: Vec<u32>,
-}
-
-/// The index key of `term` at `position` in group `g`.
-fn key(g: usize, position: usize, term: u32) -> u64 {
-    ((g as u64) << 48) | ((position as u64) << 32) | u64::from(term)
 }
 
 impl<'s> Index<'s> {
@@ -187,8 +185,13 @@ impl<'s> Index<'s> {
                 .entry((atom.relation.as_str(), arity))
                 .or_insert(next);
             if g == next {
+                let first_position = index
+                    .groups
+                    .last()
+                    .map_or(0, |g| g.first_position + g.arity);
                 index.groups.push(Group {
                     arity,
+                    first_position,
                     len: 0,
                     rows: Vec::new(),
                 });
@@ -198,7 +201,7 @@ impl<'s> Index<'s> {
             for (p, term) in atom.terms.iter().enumerate() {
                 let id = index.intern(term);
                 index.groups[g].rows.push(id);
-                entries.push((key(g, p, id), c));
+                entries.push((index.key(g, p, id), c));
             }
         }
         entries.sort_unstable();
@@ -206,9 +209,14 @@ impl<'s> Index<'s> {
         index
     }
 
+    /// The index key of `term` at `position` in group `g`.
+    fn key(&self, g: usize, position: usize, term: u32) -> u64 {
+        ((self.groups[g].first_position + position) as u64) << 32 | u64::from(term)
+    }
+
     /// The candidates of group `g` with `term` at `position`.
     fn postings(&self, g: usize, position: usize, term: u32) -> Domain {
-        let key = key(g, position, term);
+        let key = self.key(g, position, term);
         let start = self.keys.partition_point(|&k| k < key);
         let size = self.keys[start..].partition_point(|&k| k == key);
         Domain::Index { start, size }
