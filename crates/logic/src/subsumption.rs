@@ -336,22 +336,24 @@ impl Search<'_, '_, '_> {
                 size: index.groups[group].len,
             },
         };
-        let fixed: Vec<Domain> = self
-            .args_of(&lit)
-            .iter()
-            .enumerate()
-            .filter_map(|(p, arg)| match *arg {
-                Arg::Const(c) => Some((p, c)),
-                Arg::Slot(s) if self.bound[s] != NONE => Some((p, self.bound[s])),
-                _ => None,
-            })
-            .map(|(p, term)| index.postings(group, p, term))
-            .collect();
-        let repeated = self.args_of(&lit).iter().any(|a| matches!(a, Arg::Same(_)));
-        if let Some(&fewest) = fixed.iter().min_by_key(|d| d.size()) {
-            lit.domain = fewest;
+        let (mut fixed, mut repeated) = (0, false);
+        for (p, arg) in self.args_of(&lit).iter().enumerate() {
+            let term = match *arg {
+                Arg::Const(c) => c,
+                Arg::Slot(s) if self.bound[s] != NONE => self.bound[s],
+                Arg::Slot(_) => continue,
+                Arg::Same(_) => {
+                    repeated = true;
+                    continue;
+                }
+            };
+            fixed += 1;
+            let hits = index.postings(group, p, term);
+            if hits.size() < lit.domain.size() {
+                lit.domain = hits;
+            }
         }
-        if repeated || fixed.len() > 1 {
+        if repeated || fixed > 1 {
             let start = self.live.len();
             for i in 0..lit.domain.size() {
                 let c = lit.domain.candidate(index, &self.live, i);
