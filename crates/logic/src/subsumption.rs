@@ -581,8 +581,8 @@ impl Search<'_, '_, '_> {
 /// coverage engine passes its configured evaluation budget here, so the
 /// knob governs both database evaluation and θ-subsumption coverage
 /// testing, and a cancellation token installed on the budget aborts the
-/// search (as an exhaustion) within one candidate literal — the serving
-/// layer cancels θ-subsumption coverage tests through this entry point.
+/// search (as an exhaustion) within one unit of work — the serving layer
+/// cancels θ-subsumption coverage tests through this entry point.
 pub fn subsumes_with_eval_budget(
     general: &Clause,
     specific: &Clause,
