@@ -20,9 +20,9 @@
 //!   index trail, not a substitution keyed by variable name;
 //! * every candidate keeps its own node budget as a plain counter taken
 //!   from the budget template: a live candidate is charged one node per
-//!   tuple probed at a node on its path, and the template's abort tokens
-//!   (cancel, deadline) are checked once per probed tuple — an abort
-//!   exhausts every live candidate of the cell. Batched verdicts thus
+//!   tuple probed at a node on its path, and the template's cancellation
+//!   token is checked once per probed tuple — a cancel exhausts every live
+//!   candidate of the cell. Batched verdicts thus
 //!   degrade the same way per-clause verdicts do.
 //!
 //! Sharing is structural: bodies are inserted in clause order (beam

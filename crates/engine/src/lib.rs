@@ -200,11 +200,6 @@ pub struct Engine {
     /// Cancellation token installed by the current serving job, if any;
     /// threaded into every [`EvalBudget`] the executors consume.
     cancel: Mutex<Option<Arc<AtomicBool>>>,
-    /// Deadline token installed by the current serving job, if any: a
-    /// second abort source, set by the serving layer's deadline watchdog
-    /// when the job's deadline passes. Threaded into every [`EvalBudget`]
-    /// next to the cancellation token.
-    deadline: Mutex<Option<Arc<AtomicBool>>>,
     /// Per-job learn-progress sink installed by the serving layer, if any;
     /// covering loops report each accepted clause through it.
     progress: ProgressSlot,
@@ -326,7 +321,6 @@ impl Engine {
             runtime,
             eval_budget: AtomicUsize::new(config.eval_budget),
             cancel: Mutex::new(None),
-            deadline: Mutex::new(None),
             progress: ProgressSlot::default(),
             gate: RwLock::new(()),
             config,
@@ -399,14 +393,6 @@ impl Engine {
         *self.cancel.lock().unwrap_or_else(|e| e.into_inner()) = token;
     }
 
-    /// Installs (or clears) the deadline token: set by the serving layer's
-    /// deadline watchdog when the running job's deadline passes, it aborts
-    /// in-flight coverage tests exactly like the cancellation token —
-    /// through the budget-exhaustion path, within one candidate tuple.
-    pub fn set_deadline_token(&self, token: Option<Arc<AtomicBool>>) {
-        *self.deadline.lock().unwrap_or_else(|e| e.into_inner()) = token;
-    }
-
     /// Installs (or clears) the learn-progress sink covering loops report
     /// accepted clauses through. Like the trace id and cancel token, this
     /// is a per-job slot: jobs on one engine are serialized by the
@@ -442,13 +428,9 @@ impl Engine {
     /// under the same session overrides and cancellation as this engine.
     pub fn budget_template(&self) -> EvalBudget {
         let nodes = self.current_eval_budget();
-        let budget = match &*self.cancel.lock().unwrap_or_else(|e| e.into_inner()) {
+        match &*self.cancel.lock().unwrap_or_else(|e| e.into_inner()) {
             Some(token) => EvalBudget::with_cancel(nodes, Arc::clone(token)),
             None => EvalBudget::new(nodes),
-        };
-        match &*self.deadline.lock().unwrap_or_else(|e| e.into_inner()) {
-            Some(token) => budget.with_deadline_token(Arc::clone(token)),
-            None => budget,
         }
     }
 
@@ -513,13 +495,13 @@ impl Engine {
     /// too). A merely *installed* but untriggered token keeps the tier
     /// active: serving sessions run every job with a token installed.
     fn exhaustion_scope(&self) -> Option<usize> {
-        let tripped = |slot: &Mutex<Option<Arc<AtomicBool>>>| {
-            slot.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .is_some_and(|token| token.load(Ordering::Relaxed))
-        };
-        if tripped(&self.cancel) || tripped(&self.deadline) {
+        let tripped = self
+            .cancel
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .is_some_and(|token| token.load(Ordering::Relaxed));
+        if tripped {
             None
         } else {
             Some(self.current_eval_budget())

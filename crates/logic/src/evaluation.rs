@@ -54,20 +54,17 @@ impl CoverageOutcome {
 /// A consumable node budget for one evaluation, tracking whether it ever ran
 /// dry (which downgrades a "not covered" verdict to "exhausted").
 ///
-/// A budget can additionally carry up to two *abort tokens*
-/// (`Arc<AtomicBool>`s shared with a serving layer): a cancellation token
-/// and a deadline token. Once either is set, the next
+/// A budget can additionally carry a *cancellation token* (an
+/// `Arc<AtomicBool>` shared with a serving layer). Once it is set, the next
 /// [`EvalBudget::consume`] fails exactly like an exhausted budget, so a
 /// long-running coverage job unwinds through its normal budget-exhaustion
-/// path within one candidate tuple of the cancel request (or of the
-/// deadline watchdog firing).
+/// path within one candidate tuple of the cancel request.
 #[derive(Debug, Clone)]
 pub struct EvalBudget {
     remaining: usize,
     exhausted: bool,
     cancelled: bool,
     cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    deadline: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 impl EvalBudget {
@@ -78,7 +75,6 @@ impl EvalBudget {
             exhausted: false,
             cancelled: false,
             cancel: None,
-            deadline: None,
         }
     }
 
@@ -93,36 +89,18 @@ impl EvalBudget {
             exhausted: false,
             cancelled: false,
             cancel: Some(cancel),
-            deadline: None,
         }
     }
 
-    /// Adds a deadline token: a second abort source, set by a deadline
-    /// watchdog rather than an explicit cancel, sharing the same
-    /// exhaustion-path unwind. Kept separate from the cancellation token so
-    /// a session cancel and a per-job deadline can coexist on one budget.
-    pub fn with_deadline_token(
-        mut self,
-        deadline: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    ) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Consumes one node; returns `false` (and records exhaustion) when the
-    /// budget has run out or an abort token (cancel or deadline) was set.
+    /// budget has run out or the cancellation token was set.
     /// Public so `castor-engine`'s per-clause plan executor shares the same
     /// accounting. Its batched trie executor does not call it: it keeps one
     /// plain counter per candidate, starting from the template's
     /// [`EvalBudget::remaining`], and polls [`EvalBudget::cancel_pending`]
     /// once per probed tuple.
     pub fn consume(&mut self) -> bool {
-        let tripped = |token: &Option<std::sync::Arc<std::sync::atomic::AtomicBool>>| {
-            token
-                .as_ref()
-                .is_some_and(|t| t.load(std::sync::atomic::Ordering::Relaxed))
-        };
-        if tripped(&self.cancel) || tripped(&self.deadline) {
+        if self.cancel_pending() {
             self.cancelled = true;
             self.exhausted = true;
             return false;
@@ -140,24 +118,20 @@ impl EvalBudget {
         self.exhausted
     }
 
-    /// Whether the search was aborted by an abort token — cancellation or
-    /// deadline (implies [`EvalBudget::was_exhausted`]).
+    /// Whether the search was aborted by the cancellation token (implies
+    /// [`EvalBudget::was_exhausted`]).
     pub fn was_cancelled(&self) -> bool {
         self.cancelled
     }
 
-    /// Whether an installed abort token (cancel or deadline) is currently
-    /// set: the next [`EvalBudget::consume`] (of this budget or any clone
-    /// of it) will abort through the exhaustion path. Coverage engines
-    /// consult this to keep abort-driven verdicts out of budget-keyed
-    /// exhaustion caches.
+    /// Whether the installed cancellation token is currently set: the next
+    /// [`EvalBudget::consume`] (of this budget or any clone of it) will
+    /// abort through the exhaustion path. Coverage engines consult this to
+    /// keep abort-driven verdicts out of budget-keyed exhaustion caches.
     pub fn cancel_pending(&self) -> bool {
-        let tripped = |token: &Option<std::sync::Arc<std::sync::atomic::AtomicBool>>| {
-            token
-                .as_ref()
-                .is_some_and(|t| t.load(std::sync::atomic::Ordering::Relaxed))
-        };
-        tripped(&self.cancel) || tripped(&self.deadline)
+        self.cancel
+            .as_ref()
+            .is_some_and(|t| t.load(std::sync::atomic::Ordering::Relaxed))
     }
 
     /// Nodes still available.

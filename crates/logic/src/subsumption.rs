@@ -44,8 +44,8 @@
 //! [`EvalBudget::consume`] is called once per candidate tried, once per
 //! candidate examined while filtering (initial domains included) and once
 //! per whole-group domain narrowed to an index run, so the budget bounds
-//! the real work and a cancellation or deadline token aborts
-//! the test within one unit of it. `exhausted` is reported only when a
+//! the real work and a cancellation token aborts the test within one unit
+//! of it. `exhausted` is reported only when a
 //! `consume` failed, that is when the budget cut the search short; a test
 //! that decides on its last unit is exact. Wherever the kernel decides, its
 //! verdict is the one a plain backtracking matcher (the oracle in this

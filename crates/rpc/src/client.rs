@@ -30,9 +30,10 @@ use std::time::Duration;
 
 /// Connection knobs for [`RpcClient`]. The defaults are conservative for
 /// a well-behaved LAN: a bounded connect, unbounded reads/writes (jobs
-/// can legitimately run long). Chaos and retry setups should set the
-/// read timeout so a stalled or half-dead server turns into a typed
-/// [`RpcError::Timeout`] instead of a hang.
+/// can legitimately run long). A caller that must bound its wait sets
+/// the read timeout: a stalled or half-dead server then turns into a
+/// typed [`RpcError::Timeout`] instead of a hang, and dropping the client
+/// closes the connection, which cancels the session's running job.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Cap on TCP connection establishment (`None` = OS default).
@@ -110,8 +111,7 @@ pub enum RpcError {
     /// The socket failed or closed mid-exchange.
     Io(String),
     /// A socket operation exceeded its configured timeout (connect, read,
-    /// or write) — distinct from [`RpcError::Io`] because a timeout on an
-    /// idempotent request is safely retryable.
+    /// or write).
     Timeout(String),
     /// A frame or payload could not be decoded locally.
     Malformed(String),
@@ -123,28 +123,9 @@ pub enum RpcError {
         limit: usize,
         /// The server's message.
         message: String,
-        /// Load-aware backoff hint for rejections (0 = none); retrying
-        /// clients sleep at least this long before the next attempt.
-        retry_after_ms: u64,
     },
     /// The server answered with a response of the wrong shape.
     UnexpectedResponse(String),
-    /// A retrying client gave up: every attempt inside its budget failed.
-    /// `last` is the final attempt's error.
-    RetryExhausted {
-        /// How many attempts were made.
-        attempts: u32,
-        /// The error that ended the last attempt.
-        last: Box<RpcError>,
-    },
-    /// A non-idempotent request (mutation, learn) failed *after* it was
-    /// sent: the server may or may not have applied it, and retrying
-    /// could double-apply. The caller must reconcile — e.g. compare
-    /// mutation epochs via a server report — before resubmitting.
-    Ambiguous {
-        /// What failed, for the human reading the log.
-        message: String,
-    },
 }
 
 impl RpcError {
@@ -171,32 +152,6 @@ impl RpcError {
             }
         )
     }
-
-    /// Whether the job's deadline expired server-side.
-    pub fn is_deadline_exceeded(&self) -> bool {
-        matches!(
-            self,
-            RpcError::Remote {
-                code: ErrorCode::DeadlineExceeded,
-                ..
-            }
-        )
-    }
-
-    /// Whether retrying this error on a fresh connection is safe *for an
-    /// idempotent request*: transport failures, timeouts, torn frames,
-    /// and load-shedding rejections qualify; typed semantic errors (bad
-    /// request, unknown database, deadline exceeded) do not — the retry
-    /// would fail identically.
-    pub fn is_retryable_for_idempotent(&self) -> bool {
-        match self {
-            RpcError::Io(_) | RpcError::Timeout(_) | RpcError::Malformed(_) => true,
-            RpcError::Remote { .. } => self.is_admission_rejection(),
-            RpcError::UnexpectedResponse(_)
-            | RpcError::RetryExhausted { .. }
-            | RpcError::Ambiguous { .. } => false,
-        }
-    }
 }
 
 impl fmt::Display for RpcError {
@@ -210,15 +165,6 @@ impl fmt::Display for RpcError {
             }
             RpcError::UnexpectedResponse(what) => {
                 write!(f, "server sent an unexpected response: {what}")
-            }
-            RpcError::RetryExhausted { attempts, last } => {
-                write!(f, "retries exhausted after {attempts} attempts: {last}")
-            }
-            RpcError::Ambiguous { message } => {
-                write!(
-                    f,
-                    "request outcome ambiguous (may or may not have been applied): {message}"
-                )
             }
         }
     }
@@ -333,8 +279,7 @@ impl RpcClient {
 
     /// [`RpcClient::connect`] under explicit [`ClientConfig`] knobs:
     /// connect/read/write timeouts, frame cap, budget override. Timeouts
-    /// surface as [`RpcError::Timeout`], which a retry layer treats as
-    /// safely retryable for idempotent requests.
+    /// surface as [`RpcError::Timeout`].
     pub fn connect_config(
         addr: impl ToSocketAddrs,
         database: &str,
@@ -442,12 +387,10 @@ impl RpcClient {
                         code,
                         limit,
                         message,
-                        retry_after_ms,
                     }) => Err(RpcError::Remote {
                         code,
                         limit,
                         message,
-                        retry_after_ms,
                     }),
                     other => Ok(other),
                 };
@@ -523,24 +466,7 @@ impl RpcClient {
         clauses: Vec<Clause>,
         examples: Vec<Tuple>,
     ) -> Result<Vec<HashSet<Tuple>>, RpcError> {
-        self.covered_sets_deadline(clauses, examples, None)
-    }
-
-    /// [`RpcClient::covered_sets`] with a relative deadline: the server
-    /// sheds the job (never touching the engine) if it is still queued
-    /// when the deadline passes, and aborts it mid-run otherwise —
-    /// either way the call fails with [`ErrorCode::DeadlineExceeded`].
-    pub fn covered_sets_deadline(
-        &mut self,
-        clauses: Vec<Clause>,
-        examples: Vec<Tuple>,
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<HashSet<Tuple>>, RpcError> {
-        let handle = self.submit(Request::Coverage {
-            clauses,
-            examples,
-            deadline_ms,
-        })?;
+        let handle = self.submit(Request::Coverage { clauses, examples })?;
         self.join_covered(handle)
     }
 
@@ -556,7 +482,6 @@ impl RpcClient {
             clauses,
             positive,
             negative,
-            deadline_ms: None,
         })? {
             Response::Scores(counts) => Ok(counts),
             other => Err(RpcError::UnexpectedResponse(format!("{other:?}"))),
@@ -570,20 +495,7 @@ impl RpcClient {
         task: LearningTask,
         algorithm: LearnAlgorithm,
     ) -> Result<Definition, RpcError> {
-        self.learn_deadline(task, algorithm, None)
-    }
-
-    /// [`RpcClient::learn`] with a relative deadline (see
-    /// [`RpcClient::covered_sets_deadline`]): a deadline firing mid-learn
-    /// aborts at the learner's next coverage test and the call fails with
-    /// [`ErrorCode::DeadlineExceeded`] instead of a partial definition.
-    pub fn learn_deadline(
-        &mut self,
-        task: LearningTask,
-        algorithm: LearnAlgorithm,
-        deadline_ms: Option<u64>,
-    ) -> Result<Definition, RpcError> {
-        self.learn_deadline_with_progress(task, algorithm, deadline_ms)
+        self.learn_with_progress(task, algorithm)
             .map(|(definition, _)| definition)
     }
 
@@ -595,21 +507,7 @@ impl RpcClient {
         task: LearningTask,
         algorithm: LearnAlgorithm,
     ) -> Result<(Definition, Vec<LearnProgress>), RpcError> {
-        self.learn_deadline_with_progress(task, algorithm, None)
-    }
-
-    /// [`RpcClient::learn_with_progress`] with a relative deadline.
-    pub fn learn_deadline_with_progress(
-        &mut self,
-        task: LearningTask,
-        algorithm: LearnAlgorithm,
-        deadline_ms: Option<u64>,
-    ) -> Result<(Definition, Vec<LearnProgress>), RpcError> {
-        let handle = self.submit(Request::Learn {
-            task,
-            algorithm,
-            deadline_ms,
-        })?;
+        let handle = self.submit(Request::Learn { task, algorithm })?;
         let result = self.join(handle);
         // The terminal frame ends the stream, so whatever progress state
         // accumulated is complete (and must not leak on the error path).
@@ -672,14 +570,6 @@ impl RpcClient {
     /// the `castor_rpc_encode_ns` / `castor_rpc_roundtrip_ns` histograms.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
-    }
-
-    /// Whether any request has been written on this connection since the
-    /// session opened (the Hello exchange itself does not count). A retry
-    /// layer uses this to classify connection failures: a failure with
-    /// nothing in flight is safely retryable even for mutations.
-    pub fn has_inflight(&self) -> bool {
-        !self.started.is_empty() || !self.pending.is_empty()
     }
 }
 

@@ -63,8 +63,7 @@ use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLO
 use castor_engine::{LearnProgress, ProgressSink};
 use castor_obs::{Counter, Gauge, Histogram, Obs};
 use castor_service::{
-    CoverageJob, Deadline, Job, JobHandle, JobResult, LearnJob, ScoreJob, Server, ServerError,
-    Session,
+    CoverageJob, Job, JobHandle, JobResult, LearnJob, ScoreJob, Server, ServerError, Session,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -72,7 +71,6 @@ use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -169,7 +167,6 @@ impl Conn {
                 code,
                 limit,
                 message,
-                retry_after_ms: 0,
             },
         ));
     }
@@ -545,15 +542,8 @@ impl EventLoop {
                 );
                 return;
             }
-            Request::Coverage {
-                clauses,
-                examples,
-                deadline_ms,
-            } => {
-                let job =
-                    with_wire_deadline(CoverageJob::new(clauses, examples), deadline_ms, |j, d| {
-                        j.with_deadline(d)
-                    });
+            Request::Coverage { clauses, examples } => {
+                let job = CoverageJob::new(clauses, examples);
                 let handle = session.submit_traced(Job::Coverage(job), request_id);
                 self.arm_completion(&handle, token);
                 Pending::Job(request_id, handle)
@@ -562,26 +552,14 @@ impl EventLoop {
                 clauses,
                 positive,
                 negative,
-                deadline_ms,
             } => {
-                let job = with_wire_deadline(
-                    ScoreJob::new(clauses, positive, negative),
-                    deadline_ms,
-                    |j, d| j.with_deadline(d),
-                );
+                let job = ScoreJob::new(clauses, positive, negative);
                 let handle = session.submit_traced(Job::Score(job), request_id);
                 self.arm_completion(&handle, token);
                 Pending::Job(request_id, handle)
             }
-            Request::Learn {
-                task,
-                algorithm,
-                deadline_ms,
-            } => {
-                let job =
-                    with_wire_deadline(LearnJob::new(task, algorithm), deadline_ms, |j, d| {
-                        j.with_deadline(d)
-                    });
+            Request::Learn { task, algorithm } => {
+                let job = LearnJob::new(task, algorithm);
                 // Progress events cross from the runner thread through
                 // this queue; every push also wakes the loop so frames
                 // flush promptly. The runner clears the engine's sink
@@ -896,7 +874,6 @@ impl EventLoop {
                             code: ErrorCode::Panicked,
                             limit: 0,
                             message: "learn job returned a non-learn result".to_string(),
-                            retry_after_ms: 0,
                         },
                         Err(error) => Response::from_job_error(error),
                     };
@@ -945,20 +922,5 @@ fn frame_error_response(error: &FrameError) -> Option<(ErrorCode, usize, String)
         }
         FrameError::Malformed(_) => Some((ErrorCode::Malformed, 0, error.to_string())),
         FrameError::Version { .. } => Some((ErrorCode::UnsupportedVersion, 0, error.to_string())),
-    }
-}
-
-/// Applies a wire deadline to a job through its builder, when one rode
-/// along on the frame. A wire deadline is relative (milliseconds of
-/// patience the client has left) and re-anchored to this server's clock
-/// on arrival — the two hosts' clocks never need to agree.
-fn with_wire_deadline<J>(
-    job: J,
-    deadline_ms: Option<u64>,
-    attach: impl FnOnce(J, Deadline) -> J,
-) -> J {
-    match deadline_ms {
-        Some(ms) => attach(job, Deadline::within(Duration::from_millis(ms))),
-        None => job,
     }
 }

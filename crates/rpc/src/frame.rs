@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     frame length N (u32 LE) — bytes after this prefix
-//! 4       1     protocol version (PROTOCOL_VERSION = 4)
+//! 4       1     protocol version (PROTOCOL_VERSION = 5)
 //! 5       1     frame kind (request or response discriminant)
 //! 6       8     request id (u64 LE) — echoed verbatim in the response
 //! 14      N-10  payload (kind-specific binary, see `codec`)
@@ -37,8 +37,11 @@ use std::io::{Read, Write};
 /// its counters shifted, so it is refused like any other version. Version
 /// 4 dropped one more `EngineReport` counter and the unused `Covered`
 /// response frame (tag `0x82`): covered sets only ever travel as
-/// [`StreamBody::CoveredChunk`] frames.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// [`StreamBody::CoveredChunk`] frames. Version 5 dropped the trailing
+/// deadline field of `Coverage`, `Score` and `Learn` requests, the
+/// trailing retry-after hint of `Error` responses and error code 11
+/// (deadline exceeded).
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Stream frames a server may write before it needs a fresh
 /// [`Request::StreamCredit`] grant, when the client's `Hello` carries no
@@ -139,9 +142,8 @@ pub enum ErrorCode {
     Panicked = 9,
     /// A request arrived before `Hello`, or a second `Hello`.
     Protocol = 10,
-    /// The job's deadline expired before or during execution (shed from
-    /// the queue, or aborted mid-run through the cancel-token path).
-    DeadlineExceeded = 11,
+    // Code 11 (deadline exceeded) is retired since version 5 and does not
+    // decode.
 }
 
 impl ErrorCode {
@@ -157,7 +159,6 @@ impl ErrorCode {
             8 => ErrorCode::Mutation,
             9 => ErrorCode::Panicked,
             10 => ErrorCode::Protocol,
-            11 => ErrorCode::DeadlineExceeded,
             other => return Err(CodecError::new(format!("invalid error code {other}"))),
         })
     }
@@ -185,11 +186,6 @@ pub enum Request {
         clauses: Vec<Clause>,
         /// Examples to test.
         examples: Vec<Tuple>,
-        /// Relative deadline in milliseconds, re-anchored to the server's
-        /// clock on arrival (gRPC-style timeout propagation). Encoded as a
-        /// trailing field only when present, so frames without one are
-        /// byte-identical to the previous wire format.
-        deadline_ms: Option<u64>,
     },
     /// [`castor_service::ScoreJob`] over the wire.
     Score {
@@ -199,8 +195,6 @@ pub enum Request {
         positive: Vec<Tuple>,
         /// Negative examples.
         negative: Vec<Tuple>,
-        /// Relative deadline in milliseconds (see [`Request::Coverage`]).
-        deadline_ms: Option<u64>,
     },
     /// [`castor_service::LearnJob`] over the wire.
     Learn {
@@ -208,8 +202,6 @@ pub enum Request {
         task: LearningTask,
         /// The learner to run.
         algorithm: LearnAlgorithm,
-        /// Relative deadline in milliseconds (see [`Request::Coverage`]).
-        deadline_ms: Option<u64>,
     },
     /// A mutation batch against the session's database.
     Mutate(MutationBatch),
@@ -261,34 +253,22 @@ impl Request {
                 eval_budget.encode(w);
                 put_trailing_uvarint(w, *stream_credit);
             }
-            Request::Coverage {
-                clauses,
-                examples,
-                deadline_ms,
-            } => {
+            Request::Coverage { clauses, examples } => {
                 clauses.encode(w);
                 examples.encode(w);
-                put_trailing_uvarint(w, *deadline_ms);
             }
             Request::Score {
                 clauses,
                 positive,
                 negative,
-                deadline_ms,
             } => {
                 clauses.encode(w);
                 positive.encode(w);
                 negative.encode(w);
-                put_trailing_uvarint(w, *deadline_ms);
             }
-            Request::Learn {
-                task,
-                algorithm,
-                deadline_ms,
-            } => {
+            Request::Learn { task, algorithm } => {
                 task.encode(w);
                 algorithm.encode(w);
-                put_trailing_uvarint(w, *deadline_ms);
             }
             Request::Mutate(batch) => batch.encode(w),
             Request::StreamCredit { grant } => w.put_uvarint(*grant),
@@ -306,18 +286,15 @@ impl Request {
             0x02 => Request::Coverage {
                 clauses: Vec::<Clause>::decode(r)?,
                 examples: Vec::<Tuple>::decode(r)?,
-                deadline_ms: take_trailing_uvarint(r)?,
             },
             0x03 => Request::Score {
                 clauses: Vec::<Clause>::decode(r)?,
                 positive: Vec::<Tuple>::decode(r)?,
                 negative: Vec::<Tuple>::decode(r)?,
-                deadline_ms: take_trailing_uvarint(r)?,
             },
             0x04 => Request::Learn {
                 task: LearningTask::decode(r)?,
                 algorithm: LearnAlgorithm::decode(r)?,
-                deadline_ms: take_trailing_uvarint(r)?,
             },
             0x05 => Request::Mutate(MutationBatch::decode(r)?),
             0x06 => Request::Report,
@@ -334,8 +311,8 @@ impl Request {
 
 /// Encodes an optional u64 as a trailing payload field: an absent value
 /// adds no bytes, so frames without it are byte-identical to the previous
-/// wire format (version-tolerant extension — the deadline and retry-after
-/// fields ride on this).
+/// wire format (version-tolerant extension — `Hello`'s initial stream
+/// credit rides on this).
 fn put_trailing_uvarint(w: &mut ByteWriter, value: Option<u64>) {
     if let Some(v) = value {
         w.put_uvarint(v);
@@ -446,12 +423,6 @@ pub enum Response {
         limit: usize,
         /// Human-readable context.
         message: String,
-        /// Load-aware backoff hint in milliseconds (0 = none): how long
-        /// the client should wait before retrying, derived from the
-        /// server's queue depth at rejection time. Encoded as a trailing
-        /// field only when nonzero, keeping hint-free error frames
-        /// byte-identical to the previous wire format.
-        retry_after_ms: u64,
     },
 }
 
@@ -492,14 +463,10 @@ impl Response {
                 code,
                 limit,
                 message,
-                retry_after_ms,
             } => {
                 w.put_u8(*code as u8);
                 w.put_usize(*limit);
                 w.put_str(message);
-                if *retry_after_ms != 0 {
-                    w.put_uvarint(*retry_after_ms);
-                }
             }
         }
     }
@@ -526,7 +493,6 @@ impl Response {
                 code: ErrorCode::from_u8(r.get_u8()?)?,
                 limit: r.get_usize()?,
                 message: r.get_str()?,
-                retry_after_ms: take_trailing_uvarint(r)?.unwrap_or(0),
             },
             other => return Err(CodecError::new(format!("invalid response kind {other}"))),
         })
@@ -541,34 +507,21 @@ impl Response {
                 code: ErrorCode::Cancelled,
                 limit: 0,
                 message,
-                retry_after_ms: 0,
             },
-            JobError::Rejected {
-                limit,
-                retry_after_ms,
-            } => Response::Error {
+            JobError::Rejected { limit } => Response::Error {
                 code: ErrorCode::Rejected,
                 limit,
                 message,
-                retry_after_ms,
-            },
-            JobError::DeadlineExceeded => Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                limit: 0,
-                message,
-                retry_after_ms: 0,
             },
             JobError::Mutation(inner) => Response::Error {
                 code: ErrorCode::Mutation,
                 limit: 0,
                 message: inner.to_string(),
-                retry_after_ms: 0,
             },
             JobError::Panicked(msg) => Response::Error {
                 code: ErrorCode::Panicked,
                 limit: 0,
                 message: msg,
-                retry_after_ms: 0,
             },
         }
     }
@@ -843,12 +796,6 @@ mod tests {
         roundtrip_request(Request::Coverage {
             clauses: vec![Clause::fact(Atom::vars("t", &["x"]))],
             examples: vec![Tuple::from_strs(&["a"])],
-            deadline_ms: None,
-        });
-        roundtrip_request(Request::Coverage {
-            clauses: vec![Clause::fact(Atom::vars("t", &["x"]))],
-            examples: vec![Tuple::from_strs(&["a"])],
-            deadline_ms: Some(2_500),
         });
         roundtrip_request(Request::Report);
         roundtrip_request(Request::Mutate(
@@ -865,13 +812,6 @@ mod tests {
             code: ErrorCode::Rejected,
             limit: 4,
             message: "queue full".into(),
-            retry_after_ms: 40,
-        });
-        roundtrip_response(Response::Error {
-            code: ErrorCode::DeadlineExceeded,
-            limit: 0,
-            message: "deadline exceeded".into(),
-            retry_after_ms: 0,
         });
         roundtrip_response(Response::ServerReport {
             engine: EngineReport::default(),
@@ -897,64 +837,6 @@ mod tests {
             last: true,
             body: StreamBody::CoveredChunk(vec![[Tuple::from_strs(&["a"])].into_iter().collect()]),
         });
-    }
-
-    #[test]
-    fn trailing_deadline_and_hint_fields_are_version_tolerant() {
-        // A deadline-free request must be byte-identical to the pre-deadline
-        // wire format: the trailing field is simply absent, so old peers
-        // that stop reading at `examples` still parse the frame, and old
-        // frames (with nothing after `examples`) decode to `None` here.
-        let base = Request::Coverage {
-            clauses: vec![Clause::fact(Atom::vars("t", &["x"]))],
-            examples: vec![Tuple::from_strs(&["a"])],
-            deadline_ms: None,
-        };
-        let with_deadline = Request::Coverage {
-            clauses: vec![Clause::fact(Atom::vars("t", &["x"]))],
-            examples: vec![Tuple::from_strs(&["a"])],
-            deadline_ms: Some(1_000),
-        };
-        let base_bytes = request_to_bytes(1, &base);
-        let deadline_bytes = request_to_bytes(1, &with_deadline);
-        assert!(deadline_bytes.len() > base_bytes.len());
-        // Past the 4-byte length prefix the deadline-carrying frame is the
-        // base frame plus trailing bytes — the extension is purely
-        // appended, never reshuffles existing fields.
-        assert_eq!(&deadline_bytes[4..base_bytes.len()], &base_bytes[4..]);
-        let (_, decoded) = decode_request(&base_bytes, DEFAULT_MAX_FRAME_BYTES)
-            .expect("a whole frame")
-            .unwrap();
-        assert_eq!(decoded, base);
-
-        // Same rule on the response side: a zero retry-after hint encodes
-        // to nothing, keeping error frames identical to the old layout.
-        let mut no_hint = Vec::new();
-        write_response(
-            &mut no_hint,
-            2,
-            &Response::Error {
-                code: ErrorCode::Rejected,
-                limit: 4,
-                message: "q".into(),
-                retry_after_ms: 0,
-            },
-        )
-        .unwrap();
-        let mut hinted = Vec::new();
-        write_response(
-            &mut hinted,
-            2,
-            &Response::Error {
-                code: ErrorCode::Rejected,
-                limit: 4,
-                message: "q".into(),
-                retry_after_ms: 40,
-            },
-        )
-        .unwrap();
-        assert!(hinted.len() > no_hint.len());
-        assert_eq!(&hinted[4..no_hint.len()], &no_hint[4..]);
     }
 
     #[test]
@@ -1091,6 +973,20 @@ mod tests {
         // `0x82` carried whole covered-set lists before version 4; covered
         // sets now only stream as chunks.
         let body = [PROTOCOL_VERSION, 0x82, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        assert!(matches!(
+            read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            Err(FrameError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn retired_deadline_error_code_is_malformed() {
+        // Code 11 reported an expired deadline before version 5; an `Error`
+        // frame carrying it no longer decodes.
+        let mut body = vec![PROTOCOL_VERSION, 0xff, 1, 0, 0, 0, 0, 0, 0, 0];
+        body.extend_from_slice(&[11, 0, 1, b'x']);
         let mut frame = (body.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&body);
         assert!(matches!(

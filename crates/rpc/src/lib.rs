@@ -29,17 +29,13 @@
 //! * [`client`] — [`RpcClient`]: a blocking client with pipelined
 //!   submits, mirroring the in-process `Session` API shape so callers
 //!   can swap transports;
-//! * [`retry`] — [`RetryClient`]: a reconnecting wrapper that replays
-//!   idempotent requests under backoff with decorrelated jitter and
-//!   refuses to replay mutations/learns after send (typed
-//!   [`RpcError::Ambiguous`] instead of double-applying);
 //! * [`fault`] — [`FaultPlan`]: a deterministic, seeded fault-injection
 //!   hook on the server transport (torn writes, dropped/delayed reads,
 //!   byte-exact socket closes) driving the chaos suite.
 //!
 //! The server half (`server`, `event_loop`, `sys`) builds on Linux
-//! x86_64/aarch64 only; the client, codec, frames, retry and fault layers
-//! are portable.
+//! x86_64/aarch64 only; the client, codec, frames and fault layers are
+//! portable.
 //!
 //! ## Observability
 //!
@@ -89,7 +85,6 @@ pub mod codec;
 pub mod event_loop;
 pub mod fault;
 pub mod frame;
-pub mod retry;
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -108,7 +103,6 @@ pub use frame::{
     ErrorCode, FrameError, Request, Response, StreamBody, DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_STREAM_CREDIT, PROTOCOL_VERSION,
 };
-pub use retry::{RetryClient, RetryPolicy};
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")

@@ -86,6 +86,8 @@ impl std::fmt::Debug for RpcServer {
 impl RpcServer {
     /// Binds the RPC front end and starts accepting connections. Bind to
     /// port 0 to let the OS choose ([`RpcServer::local_addr`] reports it).
+    /// Fails if the address cannot be bound or the event-loop thread
+    /// cannot be spawned.
     pub fn bind(
         service: Arc<Server>,
         addr: impl ToSocketAddrs,
@@ -95,11 +97,7 @@ impl RpcServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let fault_stats = Arc::new(FaultStats::default());
-        if config.fault_plan.is_some() {
-            // Fault counters only appear in the exposition when a plan is
-            // armed — production scrapes stay free of chaos-only series.
-            register_fault_collector(service.obs(), Arc::clone(&fault_stats));
-        }
+        let fault_armed = config.fault_plan.is_some();
         let event_loop = {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
@@ -108,9 +106,15 @@ impl RpcServer {
                 .name("castor-rpc-loop".to_string())
                 .spawn(move || {
                     crate::event_loop::run(listener, service, config, shutdown, fault_stats)
-                })
-                .expect("failed to spawn event-loop thread")
+                })?
         };
+        if fault_armed {
+            // Fault counters only appear in the exposition when a plan is
+            // armed — production scrapes stay free of chaos-only series.
+            // Registered after the spawn, so a failed bind leaves the
+            // service's exposition untouched.
+            register_fault_collector(service.obs(), Arc::clone(&fault_stats));
+        }
         Ok(RpcServer {
             service,
             addr,

@@ -6,7 +6,6 @@
 //! `try_poll` peeks without blocking. Handles are cheap to clone and can be
 //! waited on from any thread.
 
-use crate::deadline::Deadline;
 use castor_core::CastorConfig;
 use castor_engine::ClauseCounts;
 use castor_learners::{LearnerParams, LearningTask};
@@ -24,26 +23,12 @@ pub struct CoverageJob {
     pub clauses: Vec<Clause>,
     /// Examples to test each clause against.
     pub examples: Vec<Tuple>,
-    /// Optional deadline: expired-while-queued jobs are shed with
-    /// [`JobError::DeadlineExceeded`]; a deadline passing mid-run aborts
-    /// the job through the cancel-token path.
-    pub deadline: Option<Deadline>,
 }
 
 impl CoverageJob {
-    /// A coverage job with no deadline.
+    /// A coverage job.
     pub fn new(clauses: Vec<Clause>, examples: Vec<Tuple>) -> Self {
-        CoverageJob {
-            clauses,
-            examples,
-            deadline: None,
-        }
-    }
-
-    /// Attaches a deadline (builder style).
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
+        CoverageJob { clauses, examples }
     }
 }
 
@@ -57,25 +42,16 @@ pub struct ScoreJob {
     pub positive: Vec<Tuple>,
     /// Negative examples.
     pub negative: Vec<Tuple>,
-    /// Optional deadline (see [`CoverageJob::deadline`]).
-    pub deadline: Option<Deadline>,
 }
 
 impl ScoreJob {
-    /// A score job with no deadline.
+    /// A score job.
     pub fn new(clauses: Vec<Clause>, positive: Vec<Tuple>, negative: Vec<Tuple>) -> Self {
         ScoreJob {
             clauses,
             positive,
             negative,
-            deadline: None,
         }
-    }
-
-    /// Attaches a deadline (builder style).
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 }
 
@@ -92,27 +68,12 @@ pub struct LearnJob {
     pub task: LearningTask,
     /// Which learner to run, with its parameters.
     pub algorithm: LearnAlgorithm,
-    /// Optional deadline (see [`CoverageJob::deadline`]). A deadline
-    /// firing mid-learn aborts at the learner's next coverage test and the
-    /// job completes with [`JobError::DeadlineExceeded`] instead of a
-    /// partial definition.
-    pub deadline: Option<Deadline>,
 }
 
 impl LearnJob {
-    /// A learn job with no deadline.
+    /// A learn job.
     pub fn new(task: LearningTask, algorithm: LearnAlgorithm) -> Self {
-        LearnJob {
-            task,
-            algorithm,
-            deadline: None,
-        }
-    }
-
-    /// Attaches a deadline (builder style).
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
+        LearnJob { task, algorithm }
     }
 }
 
@@ -144,20 +105,6 @@ pub enum Job {
     /// database's other jobs, so a session's own jobs see its mutations in
     /// submission order).
     Mutate(MutationBatch),
-}
-
-impl Job {
-    /// The job's deadline, if one was attached. Mutations carry none:
-    /// shedding an already-sent mutation would make its application
-    /// ambiguous, which is exactly what deadlines exist to avoid.
-    pub fn deadline(&self) -> Option<Deadline> {
-        match self {
-            Job::Coverage(j) => j.deadline,
-            Job::Score(j) => j.deadline,
-            Job::Learn(j) => j.deadline,
-            Job::Mutate(_) => None,
-        }
-    }
 }
 
 /// The value a completed job produced.
@@ -218,17 +165,7 @@ pub enum JobError {
     Rejected {
         /// The configured per-database in-flight cap.
         limit: usize,
-        /// Load-aware backoff hint: how long the submitter should wait
-        /// before retrying, derived from the queue depth at rejection
-        /// time. Retrying clients sleep at least this long, so an
-        /// overloaded server sheds load instead of feeding a thundering
-        /// herd.
-        retry_after_ms: u64,
     },
-    /// The job's deadline expired — either while it was still queued (shed
-    /// without running) or mid-run (aborted through the cancel-token path
-    /// within one candidate tuple).
-    DeadlineExceeded,
     /// A mutation op failed (unknown relation, arity mismatch). Ops before
     /// the failing one remain applied; affected caches were invalidated.
     Mutation(RelationalError),
@@ -240,16 +177,9 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Cancelled => write!(f, "job cancelled by its session"),
-            JobError::Rejected {
-                limit,
-                retry_after_ms,
-            } => {
-                write!(
-                    f,
-                    "database job queue at capacity ({limit} in flight); retry after {retry_after_ms}ms"
-                )
+            JobError::Rejected { limit } => {
+                write!(f, "database job queue at capacity ({limit} in flight)")
             }
-            JobError::DeadlineExceeded => write!(f, "job deadline exceeded"),
             JobError::Mutation(e) => write!(f, "mutation failed: {e}"),
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
         }

@@ -64,13 +64,11 @@
 //! assert_eq!(sets[0].len(), 1);
 //! ```
 
-pub mod deadline;
 pub mod job;
 pub mod server;
 pub mod session;
 pub mod stats;
 
-pub use deadline::Deadline;
 pub use job::{
     CoverageJob, Job, JobError, JobHandle, JobResult, LearnAlgorithm, LearnJob, ScoreJob,
 };
@@ -384,13 +382,10 @@ mod tests {
         // Two jobs in flight (one running, one queued): the third submission
         // is rejected with the typed error, not silently dropped.
         let rejected = session.submit(slow_job());
-        assert!(matches!(
+        assert_eq!(
             rejected.join().unwrap_err(),
-            JobError::Rejected {
-                limit: 2,
-                retry_after_ms,
-            } if retry_after_ms >= 10
-        ));
+            JobError::Rejected { limit: 2 }
+        );
         assert!(server.server_report().jobs_rejected >= 1);
         // The accepted jobs still complete.
         assert!(blocker.join().is_ok());

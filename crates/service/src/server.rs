@@ -26,7 +26,6 @@
 //! [`JobError::Rejected`]). Both are observable through
 //! [`Server::server_report`] and [`Server::queue_report`].
 
-use crate::deadline::{Deadline, DeadlineWatchdog};
 use crate::job::{Job, JobError, JobResult, JobShared, LearnAlgorithm};
 use crate::session::Session;
 use crate::stats::{QueueReport, ServerReport, ServerStats};
@@ -192,10 +191,6 @@ pub(crate) struct QueuedJob {
     /// `Obs::now_ns` at submit time — the runner measures queue wait as
     /// pop time minus this (0 when observability is disabled).
     pub(crate) submitted_ns: u64,
-    /// The job's deadline, extracted at submit time: checked at pop (an
-    /// expired job is shed without running) and armed on the deadline
-    /// watchdog for the duration of the run.
-    pub(crate) deadline: Option<Deadline>,
     /// Learn-progress sink installed on the engine for the duration of the
     /// run (the RPC layer streams accepted covering-round clauses to
     /// clients through it). Ignored by non-learn jobs.
@@ -208,7 +203,6 @@ impl fmt::Debug for QueuedJob {
             .field("job", &self.job)
             .field("trace", &self.trace)
             .field("submitted_ns", &self.submitted_ns)
-            .field("deadline", &self.deadline)
             .field("progress", &self.progress.is_some())
             .finish()
     }
@@ -540,13 +534,11 @@ impl Collect for DatabaseCollector {
 /// The runner-loop metric handles, resolved once per runner thread from
 /// the server's registry. The latency histograms are labelled by database
 /// (`{db="..."}`), so a slow tenant shows up as its own series instead of
-/// skewing a pooled one; the failure counters are server-wide.
+/// skewing a pooled one; the slow-job counter is server-wide.
 pub(crate) struct ServiceMetrics {
     pub(crate) queue_wait_ns: Arc<Histogram>,
     pub(crate) job_run_ns: Arc<Histogram>,
     pub(crate) slow_jobs: Arc<Counter>,
-    pub(crate) deadline_shed: Arc<Counter>,
-    pub(crate) deadline_aborted: Arc<Counter>,
 }
 
 impl ServiceMetrics {
@@ -568,14 +560,6 @@ impl ServiceMetrics {
                 "castor_slow_jobs_total",
                 "Jobs that ran past the slow-job watchdog threshold.",
             ),
-            deadline_shed: r.counter(
-                "castor_deadline_shed_total",
-                "Jobs shed from a queue because their deadline expired before they ran.",
-            ),
-            deadline_aborted: r.counter(
-                "castor_deadline_aborted_total",
-                "Running jobs aborted because their deadline passed mid-run.",
-            ),
         }
     }
 }
@@ -590,7 +574,6 @@ pub struct Server {
     databases: Mutex<HashMap<String, DatabaseEntry>>,
     stats: Arc<ServerStats>,
     obs: Arc<Obs>,
-    watchdog: Arc<DeadlineWatchdog>,
 }
 
 impl fmt::Debug for Server {
@@ -642,7 +625,6 @@ impl Server {
             databases: Mutex::new(HashMap::new()),
             stats,
             obs,
-            watchdog: DeadlineWatchdog::spawn(),
         }
     }
 
@@ -703,11 +685,10 @@ impl Server {
             }));
         let runner_engine = Arc::clone(&engine);
         let runner_queue = Arc::clone(&queue);
-        let runner_watchdog = Arc::clone(&self.watchdog);
         let runner_db = name.clone();
         std::thread::Builder::new()
             .name(format!("castor-service-runner-{name}"))
-            .spawn(move || run_queue(runner_engine, runner_queue, runner_watchdog, runner_db))
+            .spawn(move || run_queue(runner_engine, runner_queue, runner_db))
             .expect("failed to spawn runner thread");
         databases.insert(name, DatabaseEntry { engine, queue });
         Ok(())
@@ -815,10 +796,6 @@ impl Drop for Server {
         for entry in databases.values() {
             entry.queue.close();
         }
-        // Fires every outstanding deadline token on the way out, so a job
-        // still draining after the server handle is gone cannot wait on a
-        // watchdog that no longer runs.
-        self.watchdog.shutdown();
     }
 }
 
@@ -832,12 +809,7 @@ impl Drop for Server {
 /// and job run time around *every* popped job's processing — cancel
 /// fast-paths included — so at quiescence
 /// `castor_queue_wait_ns_count == castor_job_run_ns_count == queue drains`.
-fn run_queue(
-    engine: Arc<Engine>,
-    queue: Arc<DatabaseQueue>,
-    watchdog: Arc<DeadlineWatchdog>,
-    database: String,
-) {
+fn run_queue(engine: Arc<Engine>, queue: Arc<DatabaseQueue>, database: String) {
     let obs = Arc::clone(engine.obs());
     let metrics = ServiceMetrics::new(&obs, &database);
     while let Some(QueuedJob {
@@ -846,7 +818,6 @@ fn run_queue(
         ctx,
         trace,
         submitted_ns,
-        deadline,
         progress,
     }) = queue.pop()
     {
@@ -873,21 +844,6 @@ fn run_queue(
             queue.job_done();
             continue;
         }
-        // Deadline shed: a job that expired while queued never touches the
-        // engine (its eval counters stay exactly where they were). The
-        // histograms still record the pop, preserving the
-        // `queue_wait_count == job_run_count == drains` invariant.
-        if deadline.is_some_and(|dl| dl.expired()) {
-            metrics.deadline_shed.inc();
-            shared.complete(Err(JobError::DeadlineExceeded));
-            if enabled {
-                metrics
-                    .job_run_ns
-                    .record_ns(obs.now_ns().saturating_sub(run_start_ns));
-            }
-            queue.job_done();
-            continue;
-        }
         // Watchdog payload, captured before `execute` consumes the job —
         // only cloned when instrumentation is live.
         let watch = enabled.then(|| (job_kind(&job), first_clause(&job)));
@@ -899,18 +855,6 @@ fn run_queue(
             engine.set_eval_budget(ctx.eval_budget.load(Ordering::Relaxed));
         }
         engine.set_cancel_token(Some(Arc::clone(&ctx.cancel)));
-        // Arm the deadline: the watchdog sets the token when the deadline
-        // passes, and the token aborts the executor's budget loops exactly
-        // like a cancel — within one candidate tuple, with abort-tainted
-        // verdicts kept out of the shared caches.
-        let deadline_guard = deadline.map(|dl| {
-            let token = Arc::new(AtomicBool::new(false));
-            let id = watchdog.register(dl, Arc::clone(&token));
-            (token, id)
-        });
-        if let Some((token, _)) = &deadline_guard {
-            engine.set_deadline_token(Some(Arc::clone(token)));
-        }
         engine.set_trace(trace);
         engine.set_progress_sink(progress);
         let before = engine.report();
@@ -919,12 +863,7 @@ fn run_queue(
         engine.set_trace(0);
         engine.set_progress_sink(None);
         engine.set_cancel_token(None);
-        engine.set_deadline_token(None);
         engine.set_eval_budget(default_budget);
-        let deadline_fired = deadline_guard.is_some_and(|(token, id)| {
-            watchdog.unregister(id);
-            token.load(Ordering::Relaxed)
-        });
         {
             let delta = after.delta_since(&before);
             let mut consumed = ctx.consumed.lock().unwrap_or_else(|e| e.into_inner());
@@ -943,13 +882,6 @@ fn run_queue(
             // cancellation-tainted verdict can leak to other sessions — the
             // partial result is simply discarded.
             result = Err(JobError::Cancelled);
-        } else if deadline_fired && result.is_ok() {
-            // The deadline passed mid-run: the aborted searches produced a
-            // partial result (a learner returns whatever it had), which is
-            // discarded for the same cache-hygiene reasons as a cancel. A
-            // job that already failed keeps its more specific error.
-            metrics.deadline_aborted.inc();
-            result = Err(JobError::DeadlineExceeded);
         }
         if enabled {
             let run_ns = obs.now_ns().saturating_sub(run_start_ns);
@@ -1062,7 +994,6 @@ mod tests {
                 ctx: Arc::clone(ctx),
                 trace: 0,
                 submitted_ns: 0,
-                deadline: None,
                 progress: None,
             },
             handle,

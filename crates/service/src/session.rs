@@ -137,14 +137,12 @@ impl Session {
         progress: Option<ProgressSink>,
     ) -> JobHandle {
         let (handle, shared) = JobHandle::new(trace);
-        let deadline = job.deadline();
         let queued = QueuedJob {
             job,
             shared: Arc::clone(&shared),
             ctx: Arc::clone(&self.ctx),
             trace,
             submitted_ns: self.engine.obs().now_ns(),
-            deadline,
             progress,
         };
         match self.queue.submit(self.id, queued) {
@@ -160,19 +158,10 @@ impl Session {
                 self.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                 shared.complete(Err(JobError::Rejected {
                     limit: self.queue.max_inflight(),
-                    retry_after_ms: self.retry_after_ms(),
                 }));
             }
         }
         handle
-    }
-
-    /// Load-aware backoff hint attached to rejections: proportional to the
-    /// queue depth at rejection time (a deeper backlog drains later), with
-    /// a floor so clients never spin and a cap so they never stall.
-    fn retry_after_ms(&self) -> u64 {
-        let depth = self.queue.report().inflight as u64;
-        (depth * 10).clamp(10, 5_000)
     }
 
     /// Submits a [`CoverageJob`] and blocks for the per-clause covered sets.

@@ -65,7 +65,6 @@ fn rpc_job_spans_share_one_trace_id_across_processes() {
         .submit(Request::Coverage {
             clauses: vec![collaborated()],
             examples: vec![Tuple::from_strs(&["ann", "bob"])],
-            deadline_ms: None,
         })
         .unwrap();
     let trace = handle.id();

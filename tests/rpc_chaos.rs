@@ -188,7 +188,6 @@ fn reconnect_churn_reclaims_every_admission_slot() {
                     let _ = client.submit(castor::rpc::Request::Coverage {
                         clauses: vec![collaborated()],
                         examples,
-                        deadline_ms: None,
                     });
                     drop(client);
                 }

@@ -68,23 +68,19 @@ fn request_corpus() -> Vec<Vec<u8>> {
         Request::Coverage {
             clauses: vec![clause(), clause()],
             examples: tuples(),
-            deadline_ms: Some(250),
         },
         Request::Score {
             clauses: vec![clause()],
             positive: tuples(),
             negative: tuples(),
-            deadline_ms: None,
         },
         Request::Learn {
             task: task.clone(),
             algorithm: LearnAlgorithm::Foil(LearnerParams::default()),
-            deadline_ms: Some(1_000),
         },
         Request::Learn {
             task,
             algorithm: LearnAlgorithm::Castor(Box::default()),
-            deadline_ms: None,
         },
         Request::Mutate(
             MutationBatch::new()
@@ -148,7 +144,6 @@ fn response_corpus() -> Vec<Vec<u8>> {
             code: ErrorCode::Rejected,
             limit: 8,
             message: "queue full".into(),
-            retry_after_ms: 40,
         },
     ];
     responses

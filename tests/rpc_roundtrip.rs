@@ -194,7 +194,6 @@ fn pipelined_requests_multiplex_on_one_connection() {
                 .submit(Request::Coverage {
                     clauses: vec![collaborated()],
                     examples: examples.clone(),
-                    deadline_ms: None,
                 })
                 .unwrap()
         })
@@ -250,9 +249,10 @@ fn unknown_database_and_bad_first_frame_fail_with_typed_errors() {
         }
     ));
     // A Hello stamped with a retired version (1; 2 or 3, with their wider
-    // EngineReport): typed UnsupportedVersion frame, then a clean close —
-    // and no session was ever opened for it.
-    for retired in [1u8, 2, 3] {
+    // EngineReport; 4, with its trailing deadline and retry-after fields):
+    // typed UnsupportedVersion frame, then a clean close — and no session
+    // was ever opened for it.
+    for retired in [1u8, 2, 3, 4] {
         let stream = TcpStream::connect(rpc.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut hello = castor::rpc::frame::request_to_bytes(
@@ -453,7 +453,6 @@ fn inflight_cap_rejects_jobs_but_keeps_the_connection() {
     let slow = Request::Coverage {
         clauses: vec![triangle()],
         examples: vec![Tuple::from_strs(&["x"])],
-        deadline_ms: None,
     };
     let blocker = client.submit(slow.clone()).unwrap();
     let queued = client.submit(slow.clone()).unwrap();
@@ -499,7 +498,6 @@ fn disconnect_mid_learn_cancels_and_reclaims_the_session() {
         .submit(Request::Coverage {
             clauses: vec![five_cycle()],
             examples: vec![Tuple::from_strs(&["x"])],
-            deadline_ms: None,
         })
         .unwrap();
     // A LearnJob queued behind it is mid-flight when the client vanishes.
@@ -507,7 +505,6 @@ fn disconnect_mid_learn_cancels_and_reclaims_the_session() {
         .submit(Request::Learn {
             task: LearningTask::new("t", 1, vec![Tuple::from_strs(&["l0"])], vec![]),
             algorithm: LearnAlgorithm::Foil(LearnerParams::default()),
-            deadline_ms: None,
         })
         .unwrap();
     // Give the runner a moment to actually start the five-cycle search.
@@ -570,7 +567,6 @@ fn round_robin_keeps_a_light_client_ahead_of_a_flooder() {
                 .submit(Request::Coverage {
                     clauses: vec![triangle()],
                     examples: vec![Tuple::from_strs(&[&format!("x{i}")])],
-                    deadline_ms: None,
                 })
                 .unwrap()
         })

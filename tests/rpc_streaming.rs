@@ -240,7 +240,6 @@ fn zero_credit_client_never_starves_other_sessions() {
         .submit(Request::Coverage {
             clauses: vec![collaborated()],
             examples: vec![Tuple::from_strs(&["ann", "bob"])],
-            deadline_ms: None,
         })
         .unwrap();
     std::thread::sleep(Duration::from_millis(100));
